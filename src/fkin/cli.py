@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,27 +250,6 @@ def load_config(path):
     return parse_config(data)
 
 
-def _thread_count():
-    raw = os.environ.get("FKIN_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"FKIN_THREADS must be an integer, got {raw!r}")
-    _require(n >= 0, "FKIN_THREADS must be >= 0")
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
-def _fan_out(fn, points):
-    """Map ``fn`` over scalar grid points, in order, optionally threaded."""
-    workers = _thread_count()
-    if workers <= 1 or len(points) < 8:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, points))
-
-
 def execute(config):
     """Evaluate a configuration; returns ``(header, rows)`` of the table."""
     try:
@@ -284,21 +261,19 @@ def execute(config):
             values = np.asarray(solver(config.problem, config.time_grid))
             return ("t", "value"), list(zip(config.time_grid, values))
         if config.mode == "diffusion":
-            values = _fan_out(
-                lambda x: fundamental_solution(config.problem, x,
-                                               config.time),
-                [float(x) for x in config.space_grid])
+            values = [fundamental_solution(config.problem, float(x),
+                                           config.time)
+                      for x in config.space_grid]
             return ("x", "value"), list(zip(config.space_grid, values))
         if config.mode == "levy":
-            values = _fan_out(lambda t: levy_density(config.problem, t),
-                              [float(t) for t in config.time_grid])
+            values = [levy_density(config.problem, float(t))
+                      for t in config.time_grid]
             return ("t", "value"), list(zip(config.time_grid, values))
         if config.mode == "specfun-eval":
             beta, gamma_, delta = config.problem
-            values = _fan_out(
-                lambda z: ml_prabhakar(MLParams(beta=beta, gamma_=gamma_,
-                                                delta=delta, z=z)),
-                [float(z) for z in config.space_grid])
+            values = [ml_prabhakar(MLParams(beta=beta, gamma_=gamma_,
+                                            delta=delta, z=float(z)))
+                      for z in config.space_grid]
             return ("z", "value"), list(zip(config.space_grid, values))
         report = verify_problem(config.problem, config.time_grid)
         return report.rows()

@@ -1,19 +1,31 @@
 """Fundamental solution of time-fractional diffusion and the stable density.
 
 The solution of the fractional Cauchy problem with a point initial mass is
-an H-function of the similarity variable; only its convergent residue
-series are evaluated here (one and three dimensions, plus the planar
+an H-function of the similarity variable; near the source its convergent
+residue series are evaluated (one and three dimensions, plus the planar
 logarithmic asymptote), never a general H-function engine.  The one-sided
-stable density that subordinates the process is evaluated the same way.
+stable density that subordinates the process is a power series the same
+way.
 
-Deep in the spatial tail the series lose all their leading digits to
-cancellation; sums whose double-precision noise estimate exceeds the
-result are redone in extended precision, so every returned value is
-trustworthy or an exception.
+Deep in the spatial tail, and for the stable density at small times, those
+alternating series lose all their leading digits to cancellation.  There
+the values come from Kanter's representation of the stable density
+(Kanter 1975, Ann. Probab. 3:697), whose integrand is positive, so nothing
+cancels.  Through the M-Wright relation (Mainardi, Mura and Pagnini 2010,
+Int. J. Differ. Equ. 2010:104505) the same integral gives the
+one-dimensional solution, and differentiating under it the
+three-dimensional one.  The solutions switch to it past eight diffusion
+lengths, ``B = x^2/(4 D t^alpha) > 16``; the stable density wherever its
+series fails its rounding guard.  The integral is certified by two
+Gauss-Legendre rules that must agree, so every returned value is
+trustworthy or an exception.  The explicit one- and three-dimensional
+series keep an extended-precision rescue and serve as the independent
+cross-check of both routes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +53,17 @@ _MAX_A = 4096.0
 _BUDGET = 2000
 _MP_BUDGET = 20000
 _STOP_TOL = 1e-16
+
+# past B = x^2/(4 D t^alpha) = 16, eight diffusion lengths, the one- and
+# three-dimensional solutions come from Kanter's integral, not the series
+_KANTER_B = 16.0
+# Kanter panels end where c (A - A(0)) reaches these levels; the last one
+# cuts the integral where the integrand has fallen by e^-60
+_KANTER_LEVELS = (1.0, 3.0, 7.0, 14.0, 25.0, 40.0, 60.0)
+# Gauss-Legendre nodes per panel of the coarse rule; the fine rule has twice
+# as many, and the two must agree to _KANTER_TOL
+_KANTER_NODES = 16
+_KANTER_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -341,15 +364,141 @@ def _two_sum_mp(alpha, n_dim, B):
     raise NonConvergence("extended precision exhausted without a certificate")
 
 
+# Taylor coefficients of sin(x)/x - 1 in powers of x^2, to x^20
+_SINC_TAYLOR = tuple((-1.0) ** k / math.factorial(2 * k + 1)
+                     for k in range(1, 11))
+
+
+def _log_sinc(x):
+    """``log(sin(x)/x)`` elementwise on (0, pi), without cancellation
+    near 0."""
+    x2 = x * x
+    poly = np.zeros_like(x)
+    for coef in reversed(_SINC_TAYLOR):
+        poly = poly * x2 + coef
+    small = x < 1.0
+    return np.where(small, np.log1p(x2 * poly),
+                    np.log(np.sin(x) / np.where(small, 1.0, x)))
+
+
+def _kanter_log_ratio(rho, phi):
+    """``log(A(phi)/A(0))`` for Kanter's
+    ``A(phi) = (sin(rho phi)/sin phi)^(1/(1-rho)) sin((1-rho) phi)/sin(rho phi)``,
+    formed from ``log(sin(x)/x)`` so that ``A - A(0)`` keeps its digits
+    near ``phi = 0``."""
+    lr = _log_sinc(rho * phi)
+    return (lr - _log_sinc(phi)) / (1.0 - rho) \
+        + _log_sinc((1.0 - rho) * phi) - lr
+
+
+def _kanter_a0(rho):
+    return rho ** (rho / (1.0 - rho)) * (1.0 - rho)
+
+
+def _kanter_edge(rho, target, lo):
+    """A point of (lo, pi) where ``A`` crosses ``target``, to about a
+    thousandth of its distance from either end of (0, pi).  A panel edge
+    needs no more, so ``A`` is formed directly in double."""
+    hi = math.pi
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        sr = math.sin(rho * mid)
+        a = (sr / math.sin(mid)) ** (1.0 / (1.0 - rho)) \
+            * math.sin((1.0 - rho) * mid) / sr
+        if a < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-3 * min(hi, math.pi - hi):
+            break
+    return hi
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
+def _kanter_moments(rho, c, log_scale):
+    """``exp(log_scale - c A(0)) (I1, I2)`` with ``I_k = (1/pi) int_0^pi
+    A^k exp(-c (A - A(0))) dphi``, the moments of Kanter's integral.
+
+    ``A`` increases from ``A(0)`` to infinity, so panels end where
+    ``c (A - A(0))`` reaches the levels of ``_KANTER_LEVELS``, the last of
+    which cuts the integral.  Where ``c`` is small the cut comes close to
+    the pole of ``A`` at pi, and the panels before it are graded towards
+    pi, each no wider than its distance from pi.  Gauss-Legendre rules of
+    ``_KANTER_NODES`` and twice as many nodes per panel must agree to
+    ``_KANTER_TOL`` in both moments, or ``NonConvergence`` is raised; the
+    finer rule is returned.  A scale that underflows gives zeros without
+    any quadrature; one past the double range raises ``NonConvergence``.
+    """
+    a0 = _kanter_a0(rho)
+    log_scale -= c * a0
+    if log_scale > 709.0:
+        raise NonConvergence("density beyond the double range")
+    scale = math.exp(log_scale)
+    if scale == 0.0:
+        return 0.0, 0.0
+    edges = [0.0]
+    for level in _KANTER_LEVELS:
+        edges.append(_kanter_edge(rho, a0 + level / c, edges[-1]))
+    gap = 2.0 * (math.pi - edges[-1])
+    while gap < math.pi:
+        edges.append(math.pi - gap)
+        gap *= 2.0
+    edges = np.unique(edges)
+    widths = np.diff(edges)[:, None]
+    moments = []
+    for n in (_KANTER_NODES, 2 * _KANTER_NODES):
+        nodes, weights = _gauss_legendre(n)
+        log_ratio = _kanter_log_ratio(rho, edges[:-1, None] + widths * nodes)
+        a = a0 * np.exp(log_ratio)
+        f = widths * weights * np.exp(-c * a0 * np.expm1(log_ratio)) * a
+        moments.append((float(np.sum(f)) / math.pi,
+                        float(np.sum(f * a)) / math.pi))
+    (c1, c2), (i1, i2) = moments
+    if not (abs(c1 - i1) <= _KANTER_TOL * i1
+            and abs(c2 - i2) <= _KANTER_TOL * i2):
+        raise NonConvergence(
+            f"Kanter quadrature rules disagree at rho={rho:g}, c={c:g}")
+    return scale * i1, scale * i2
+
+
+def _kanter_solution(alpha, dim, d, x, t):
+    """One- or three-dimensional solution from Kanter's integral.
+
+    With ``nu = alpha/2``, ``ell = sqrt(D) t^nu``, ``r = x/ell``,
+    ``q = 1/(1-nu)`` and ``c = r^q`` the M-Wright relation gives
+    ``u1 = q r^(nu q) e^(-c A(0)) I1 / (2 ell)``; differentiating under
+    the integral gives ``u3 = -(1/(2 pi x)) du1/dx``
+    ``= q r^(nu q - 2) e^(-c A(0)) (q c I2 - nu q I1) / (4 pi ell^3)``.
+    """
+    nu = alpha / 2.0
+    ell = math.sqrt(d) * t ** nu
+    r = x / ell
+    q = 1.0 / (1.0 - nu)
+    c = r ** q
+    m1, m2 = _kanter_moments(nu, c, math.log(q) + nu * q * math.log(r))
+    if dim == 1:
+        return m1 / (2.0 * ell)
+    return (q * c * m2 - nu * q * m1) / (4.0 * math.pi * ell ** 3 * r * r)
+
+
 def fundamental_solution(p: DiffusionProblem, x, t):
     """Density at radius ``x``, time ``t``, of the point-source solution.
 
     Dimensions 1 and 3 evaluate the double pole-residue series of the
     contour-integral solution at ``B = x^2/(4 D t^alpha)`` with the
-    ``|sqrt(pi) x|^(-n)`` prefactor; the explicit one- and
-    three-dimensional sums serve as independent cross-checks in the test
-    suite.  Dimension 2 has no convergent series of this form and
-    delegates to the small-x logarithmic asymptote.
+    ``|sqrt(pi) x|^(-n)`` prefactor up to ``B = 16``, eight diffusion
+    lengths.  Past it they evaluate Kanter's integral directly, with no
+    series attempt; a quadrature whose two rules disagree raises
+    ``NonConvergence``, as does ``B`` beyond ``_MAX_A/4``.  The explicit
+    one- and three-dimensional sums serve as independent cross-checks in
+    the test suite.  Dimension 2 has no convergent series of this form
+    and delegates to the small-x logarithmic asymptote.
     """
     if t <= 0.0:
         raise DomainError("t must be positive")
@@ -368,6 +517,8 @@ def fundamental_solution(p: DiffusionProblem, x, t):
     if B > _MAX_A / 4.0:
         raise NonConvergence(
             f"scaled argument {4.0 * B:g} beyond the validated radius {_MAX_A:g}")
+    if B > _KANTER_B:
+        return _kanter_solution(p.alpha, p.dim, d, x, t)
     pref = (math.sqrt(math.pi) * x) ** (-p.dim)
     return pref * _two_sum(p.alpha, p.dim, B)
 
@@ -377,16 +528,23 @@ def levy_density(sp: StableParams, t):
 
     Power series in ``t^(-rho)`` from term-by-term inversion of the
     transform's exponential series; the poles of the reciprocal gamma
-    factor silently remove every term with integer ``k rho``.  Below the
-    saddle-point floor the density underflows and 0.0 is returned without
-    summing.
+    factor silently remove every term with integer ``k rho``.  Where the
+    series fails to converge or its rounding guard, at small times and
+    for ``rho`` near 1, Kanter's integral
+    ``(rho/(1-rho)) t^(-1/(1-rho)) (1/pi) int_0^pi A exp(-c A) dphi``
+    with ``c = t^(-rho/(1-rho))`` is evaluated instead, certified by two
+    Gauss-Legendre rules or ``NonConvergence``.  Below the saddle-point
+    floor the density underflows and 0.0 is returned without summing.
     """
     rho = sp.rho
     if t <= 0.0:
         raise DomainError("t must be positive")
-    # steepest-descent exponent; 30 nats of slack for the algebraic factor
-    lam = (1.0 - rho) * rho ** (rho / (1.0 - rho))
-    if -lam * t ** (-rho / (1.0 - rho)) + 30.0 < -640.0:
+    # steepest-descent exponent -c A(0); 30 nats of slack for the algebraic
+    # factor.  Past log c = 700 the exponent is far below that floor, and
+    # c itself would overflow.
+    a0 = _kanter_a0(rho)
+    if (-rho / (1.0 - rho) * math.log(t) > 700.0
+            or -a0 * t ** (-rho / (1.0 - rho)) + 30.0 < -640.0):
         return 0.0
     w = t ** (-rho)
     n = _budget_for(rho)
@@ -397,10 +555,7 @@ def levy_density(sp: StableParams, t):
     total, converged, clean = _fsum_with_guard(terms)
     if converged and clean:
         return total / t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = ks * math.log(w) - _sc.gammaln(ks + 1.0) \
-            + _log_abs_rgamma(-rho * ks)
-    finite = logs[np.isfinite(logs)]
-    log10_peak = float(np.max(finite)) / math.log(10.0) if finite.size else 0.0
-    builder = lambda: (mp.mpf(t) ** -mp.mpf(rho), mp.mpf(0), mp.mpf(rho))
-    return _mp_alt_series(builder, 1, log10_peak) / t
+    # Kanter: (rho q) t^(-q) e^(-c A(0)) I1 with q = 1/(1-rho)
+    q = 1.0 / (1.0 - rho)
+    c = t ** (-rho * q)
+    return _kanter_moments(rho, c, math.log(rho * q) - q * math.log(t))[0]

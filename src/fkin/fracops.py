@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal as _sig
 
 from .errors import DomainError, NonConvergence
 from .specfun import SeriesControls, _ml_coefficients, _ml_values, gamma_recip
@@ -356,6 +355,9 @@ def singular_convolution_grid(fs, dt, power, modulator=None, series=None):
     length with an exact zero first entry.  The product rule turns into a
     pair of discrete convolutions, evaluated by FFT.
     """
+    # imported here, its only use: scipy.signal costs half a second to load
+    import scipy.signal as _sig
+
     if power <= -1.0:
         raise DomainError("kernel exponent must exceed -1")
     fs = np.asarray(fs, dtype=float)

@@ -7,6 +7,7 @@ import pytest
 import scipy.integrate as si
 import scipy.special as sc
 
+from fkin import diffusion
 from fkin.diffusion import (DiffusionProblem, StableParams, asymptotic_n2,
                             fundamental_solution, levy_density, series_n1,
                             series_n3)
@@ -196,6 +197,14 @@ class TestStableDensity:
         # below the steepest-descent floor the density is under e^-640
         assert levy_density(StableParams(0.75), 0.01) == 0.0
 
+    def test_tiny_times_stay_typed(self):
+        # t^(-rho/(1-rho)) overflows a double at rho=0.95, t=1e-20, far
+        # below the underflow floor
+        assert levy_density(StableParams(0.95), 1e-20) == 0.0
+        # at rho=0.002 the density itself exceeds the double range
+        with pytest.raises(NonConvergence):
+            levy_density(StableParams(0.002), 5e-324)
+
     def test_nonnegative(self):
         for rho in (0.3, 0.5, 0.8):
             sp = StableParams(rho)
@@ -239,3 +248,91 @@ def test_problem_validation(bad):
 def test_far_tail_rejected_beyond_radius():
     with pytest.raises(NonConvergence):
         fundamental_solution(DiffusionProblem(0.5, 1.0, 1), 70.0, 1.0)
+
+
+class TestKanterRoute:
+    """Past B = x^2/(4 D t^alpha) = 16 the one- and three-dimensional
+    solutions, and the stable density wherever its series fails its
+    guard, come from Kanter's integral; these references share no code
+    with it."""
+
+    def test_half_index_closed_form_at_small_times(self):
+        sp = StableParams(0.5)
+        for t in (0.02, 0.05, 0.1):
+            ref = t ** -1.5 * math.exp(-0.25 / t) / (2.0 * math.sqrt(math.pi))
+            assert rel(levy_density(sp, t), ref) < 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_classical_heat_kernel(self, dim):
+        d, t = 0.7, 1.3
+        p = DiffusionProblem(1.0, d, dim)
+        for lengths in (10.0, 15.0, 20.0, 30.0):
+            x = lengths * math.sqrt(d * t)
+            ref = math.exp(-x * x / (4.0 * d * t)) \
+                / (4.0 * math.pi * d * t) ** (dim / 2.0)
+            assert rel(fundamental_solution(p, x, t), ref) < 1e-12
+
+    def test_airy_form_at_two_thirds(self):
+        # M_{1/3}(r) = 3^(2/3) Ai(r / 3^(1/3)), u1 = M_{1/3}(x/ell) / (2 ell)
+        d, t = 0.6, 1.7
+        ell = math.sqrt(d) * t ** (1.0 / 3.0)
+        p = DiffusionProblem(2.0 / 3.0, d, 1)
+        for r in (10.0, 20.0, 40.0):
+            ref = 3.0 ** (2.0 / 3.0) * float(sc.airy(r / 3.0 ** (1.0 / 3.0))[0]) \
+                / (2.0 * ell)
+            assert rel(fundamental_solution(p, r * ell, t), ref) < 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_matches_explicit_series_across_switch(self, dim):
+        d, t = 1.3, 0.9
+        for alpha in (0.4, 0.7, 0.9):
+            p = DiffusionProblem(alpha, d, dim)
+            for B in (12.0, 15.0, 16.5, 20.0, 25.0):
+                x = math.sqrt(4.0 * B * d * t ** alpha)
+                A = 4.0 * B
+                if dim == 1:
+                    ref = series_n1(alpha, A) / (2.0 * math.sqrt(d)
+                                                 * t ** (alpha / 2.0))
+                else:
+                    ref = series_n3(alpha, A) / (4.0 * math.pi * d ** 1.5
+                                                 * t ** (1.5 * alpha)
+                                                 * math.sqrt(A))
+                assert rel(fundamental_solution(p, x, t), ref) < 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_certified_across_the_tail(self, dim):
+        for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+            p = DiffusionProblem(alpha, 1.0, dim)
+            values = [fundamental_solution(p, 2.0 * math.sqrt(B), 1.0)
+                      for B in np.geomspace(16.0 * (1.0 + 1e-9), 1024.0, 25)]
+            assert all(math.isfinite(v) and v >= 0.0 for v in values)
+            assert values[0] > 0.0
+            assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_stable_density_certified_where_series_fails(self, monkeypatch):
+        calls = []
+        moments = diffusion._kanter_moments
+
+        def counted(rho, *args):
+            calls.append(rho)
+            return moments(rho, *args)
+
+        monkeypatch.setattr(diffusion, "_kanter_moments", counted)
+        for rho in np.round(np.arange(0.05, 0.96, 0.05), 2):
+            sp = StableParams(float(rho))
+            lam = (1.0 - rho) * rho ** (rho / (1.0 - rho))
+            # c = t^(-rho/(1-rho)) from 2 to the underflow shortcut
+            for c in np.geomspace(2.0, 670.0 / lam, 30):
+                t = float(c ** (-(1.0 - rho) / rho))
+                v = levy_density(sp, t)
+                assert math.isfinite(v) and v >= 0.0
+            assert calls.count(rho) >= 3
+
+    def test_starved_rule_is_caught(self, monkeypatch):
+        monkeypatch.setattr(diffusion, "_KANTER_NODES", 2)
+        with pytest.raises(NonConvergence):
+            fundamental_solution(DiffusionProblem(0.9, 1.0, 1), 10.0, 1.0)
+        with pytest.raises(NonConvergence):
+            fundamental_solution(DiffusionProblem(0.6, 1.0, 3), 20.0, 1.0)
+        with pytest.raises(NonConvergence):
+            levy_density(StableParams(0.75), 0.08)
