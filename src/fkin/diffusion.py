@@ -554,7 +554,11 @@ def levy_density(sp: StableParams, t):
     terms = np.where(ks % 2 == 0, fac, -fac) * rg
     total, converged, clean = _fsum_with_guard(terms)
     if converged and clean:
-        return total / t
+        density = total / t
+        if not math.isfinite(density):
+            raise NonConvergence(
+                f"stable density at t={t:g} exceeds the double range")
+        return density
     # Kanter: (rho q) t^(-q) e^(-c A(0)) I1 with q = 1/(1-rho)
     q = 1.0 / (1.0 - rho)
     c = t ** (-rho * q)

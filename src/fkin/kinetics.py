@@ -4,20 +4,22 @@ The governing equation is
 
     N(t) = N0 f(t) - sum_j a_j I^{nu_j} N(t),
 
-with ``I^nu`` the Riemann-Liouville integral.  In the Laplace domain the
-solution is ``N0 f~(s) / (1 + sum_j a_j s^{-nu_j})``; every solver here is
-a time-domain expansion of that image built from Mittag-Leffler kernels.
-The general route factors out the smallest-order term and expands the rest
-as a multinomial resolvent series; special coefficient patterns (binomial,
-geometric, arithmetic orders, matched Mittag-Leffler or power-law forcing)
-admit shorter forms and get dedicated routes so they can be cross-checked
-against each other.
+with ``I^nu`` the Riemann-Liouville integral, and its Laplace image is
+``N0 f~(s) / (1 + sum_j a_j s^{-nu_j})``.  With unit, power-law or matched
+Mittag-Leffler forcing every route writes that image as a sum of terms
+``C s^-g (1 + k s^-b)^-delta``, each inverted to
+``C t^(g-1) E^delta_{b,g}(-k t^b)`` by one engine.  Routes differ only in
+how they split the operator: binomial rates give one term, geometric rates
+telescope to two, other orders expand in resolvent levels about the
+lowest-order term.  Forcings without such an image take that expansion
+with every term a singular convolution of the forcing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,12 +70,8 @@ class Unit:
 
 @dataclass(frozen=True)
 class PowerLaw:
-    """Forcing ``f(t) = t^(rho-1)`` with ``rho > 0``.
-
-    For ``rho < 1`` the forcing is singular at the origin; the dedicated
-    closed-form routes handle that exactly, while quadrature-based routes
-    assume a bounded forcing and lose accuracy there.
-    """
+    """Forcing ``f(t) = t^(rho-1)`` with ``rho > 0``, singular at the
+    origin for ``rho < 1``; every route treats it in closed form."""
 
     rho: float
 
@@ -262,65 +260,138 @@ def _level_groups(problem, level, policy):
     return list(groups.values())
 
 
-def _base_term(problem, t, controls):
-    """Level-zero part: forcing minus its resolvent convolution."""
+def _times(ts):
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if np.any(ts < 0.0):
+        raise DomainError("times must be nonnegative")
+    return ts
+
+
+def _close(x, want):
+    return abs(x - want) <= _PATTERN_TOL * max(1.0, abs(want))
+
+
+def _kernel(forcing, b, k):
+    """The forcing image as ``C s^-g (1 + k s^-b)^-d``: ``(C, g, d)``, or
+    None when the forcing has no such image against this base."""
+    if isinstance(forcing, Unit):
+        return 1.0, 1.0, 0.0
+    if isinstance(forcing, PowerLaw):
+        return math.gamma(forcing.rho), forcing.rho, 0.0
+    if (isinstance(forcing, MLForcing) and _close(forcing.nu, b)
+            and _close(forcing.c ** b, k)):
+        return 1.0, forcing.gamma_, forcing.delta
+    return None
+
+
+class _Plan(NamedTuple):
+    """A route: the operator inverse as ``sum coef s^-p`` over ``numer``
+    times ``(1 + k s^-b)^-m``; with ``levels``, the orders past the first
+    add resolvent levels, level ``l`` at the power ``m (l + 1)``."""
+
+    b: float
+    k: float
+    m: int
+    numer: tuple = ((1.0, 0.0),)
+    levels: bool = False
+
+
+def _expansion_plan(problem):
+    return _Plan(problem.nus[0], problem.rates[0], 1,
+                 levels=len(problem.nus) > 1)
+
+
+def _closed(problem, ts, plan, controls=None, truncation=None):
+    """Evaluate a route plan term by term: ``C s^-g (1 + k s^-b)^-delta``
+    inverts to ``C t^(g-1) E^delta_{b,g}(-k t^b)`` (Prabhakar 1971)."""
+    kern = _kernel(problem.forcing, plan.b, plan.k)
+    if kern is None:
+        return _quadrature_expansion(problem, ts, controls, truncation)
+    ts = _times(ts)
+    const, g, d = kern
+    arg = -plan.k * ts ** plan.b
+
+    def level_sum(pos, level, groups):
+        delta = float(plan.m * (level + 1) + d)
+        out = None
+        for coef, power in plan.numer:
+            for gamma_r, weight in groups:
+                gg = g + power + gamma_r
+                with np.errstate(divide="ignore"):
+                    head = ts[pos] ** (gg - 1.0)
+                term = (problem.n0 * const * coef * weight * head
+                        * _ml_values(plan.b, gg, delta, arg[pos]))
+                out = term if out is None else out + term
+        return out
+
+    return _sum_levels(problem, ts, plan.levels, level_sum, truncation)
+
+
+def _quadrature_expansion(problem, ts, controls=None, truncation=None):
+    """The resolvent expansion with every term a singular convolution of
+    the forcing: the one route for forcings without a Prabhakar image."""
+    controls = controls if controls is not None else ConvolutionControls()
+    ts = _times(ts)
     nu1 = problem.nus[0]
     a1 = problem.rates[0]
     f = problem.forcing.value
-    conv = singular_convolution(
-        f, t, nu1 - 1.0,
-        MLModulator(beta=nu1, gamma_=nu1, delta=1.0, coef=-a1),
-        controls)
-    return float(problem.forcing.value(np.asarray(t, dtype=float))) - a1 * conv
+
+    def conv(t, gamma_, delta):
+        mod = MLModulator(beta=nu1, gamma_=gamma_, delta=delta, coef=-a1)
+        return singular_convolution(f, t, gamma_ - 1.0, mod, controls)
+
+    def at(t, level, groups):
+        if level > 0:
+            return sum(coef * conv(t, gamma_r, level + 1.0)
+                       for gamma_r, coef in groups)
+        f_t = float(f(np.asarray(t, float)))
+        return f_t - a1 * conv(t, nu1, 1.0) if t > 0.0 else f_t
+
+    def level_sum(pos, level, groups):
+        return problem.n0 * np.array([at(t, level, groups)
+                                      for t in ts[pos]])
+
+    return _sum_levels(problem, ts, len(problem.nus) > 1, level_sum,
+                       truncation)
+
+
+def _sum_levels(problem, ts, levels, level_sum, truncation):
+    """Level zero, then with ``levels`` the resolvent levels at every
+    positive time until two in a row move it by under ``rel_tol``."""
+    vals = level_sum(slice(None), 0, ((0.0, 1.0),))
+    if not levels:
+        return vals
+    policy = truncation if truncation is not None else TruncationPolicy()
+    small = np.zeros(ts.shape, dtype=int)
+    active = ts > 0.0
+    for level in range(1, policy.l_max + 1):
+        if not np.any(active):
+            break
+        pos = np.nonzero(active)[0]
+        sign = -1.0 if level % 2 else 1.0
+        groups = [(gamma_r, sign * coef) for gamma_r, coef
+                  in _level_groups(problem, level, policy)]
+        contrib = level_sum(pos, level, groups)
+        vals[pos] += contrib
+        tiny = np.abs(contrib) <= policy.rel_tol * np.maximum(
+            np.abs(vals[pos]), 1e-290)
+        small[pos] = np.where(tiny, small[pos] + 1, 0)
+        active[pos] = small[pos] < 2
+    if np.any(active):
+        raise NonConvergence(
+            f"resolvent expansion still moving after {policy.l_max} levels"
+        )
+    return vals
 
 
 def solve_multiterm(problem: KineticProblem, ts, controls=None,
                     truncation=None):
-    """General solver for any number of distinct orders.
-
-    Factors out the lowest-order term and sums the resolvent expansion in
-    the remaining ones; each level-``l`` term is a convolution against a
-    power kernel modulated by a three-parameter Mittag-Leffler function of
-    degree ``l + 1``.
-    """
-    controls = controls if controls is not None else ConvolutionControls()
-    policy = truncation if truncation is not None else TruncationPolicy()
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if np.any(ts < 0.0):
-        raise DomainError("times must be nonnegative")
-    nu1 = problem.nus[0]
-    a1 = problem.rates[0]
-    f = problem.forcing.value
-    vals = np.array([_base_term(problem, t, controls) if t > 0.0
-                     else float(f(np.asarray(t, float))) for t in ts])
-    if len(problem.nus) > 1:
-        small = np.zeros(ts.shape, dtype=int)
-        active = ts > 0.0
-        for level in range(1, policy.l_max + 1):
-            if not np.any(active):
-                break
-            groups = _level_groups(problem, level, policy)
-            sign = -1.0 if level % 2 else 1.0
-            for i in np.nonzero(active)[0]:
-                t = ts[i]
-                contrib = 0.0
-                for gamma_r, coef in groups:
-                    mod = MLModulator(beta=nu1, gamma_=gamma_r,
-                                      delta=float(level + 1), coef=-a1)
-                    contrib += coef * singular_convolution(
-                        f, t, gamma_r - 1.0, mod, controls)
-                vals[i] += sign * contrib
-                if abs(contrib) <= policy.rel_tol * max(abs(vals[i]), 1e-290):
-                    small[i] += 1
-                    if small[i] >= 2:
-                        active[i] = False
-                else:
-                    small[i] = 0
-        if np.any(active):
-            raise NonConvergence(
-                f"resolvent expansion still moving after {policy.l_max} levels"
-            )
-    return problem.n0 * vals
+    """General solver for any number of distinct orders: the resolvent
+    expansion about the lowest-order term, level ``l`` a sum of Prabhakar
+    terms of degree ``l + 1 + d``, added under ``truncation``.
+    ``controls`` applies only to forcings without a Prabhakar image."""
+    return _closed(problem, ts, _expansion_plan(problem), controls,
+                   truncation)
 
 
 def solve_multiterm_grid(problem: KineticProblem, t_end, controls=None,
@@ -385,68 +456,52 @@ def solve_arithmetic(problem: KineticProblem, ts, controls=None,
     """Solver for orders in arithmetic progression ``nu, 2 nu, ...``.
 
     The progression admits the same factored expansion as the general
-    route, with every kernel exponent a multiple of ``nu``; the problem is
-    validated and handed to that engine.
+    route, with every kernel exponent a multiple of ``nu``.
     """
     if _arithmetic_step(problem) is None:
         raise DomainError("orders are not an arithmetic progression j * nu")
-    return solve_multiterm(problem, ts, controls, truncation)
+    return _closed(problem, ts, _expansion_plan(problem), controls,
+                   truncation)
 
 
-def _binomial_match(problem):
-    """Detect rates ``C(n, r) c_nu^r`` against orders ``r nu``.
-
-    Returns ``(n, c_nu)`` with ``c_nu = c^nu`` or None.
-    """
+def _binomial_plan(problem):
+    """Rates ``C(n, r) c_nu^r`` on orders ``r nu`` make the operator
+    ``(1 + c_nu s^-nu)^n``: that plan, or None."""
     if _arithmetic_step(problem) is None:
         return None
     n = len(problem.nus)
     c_nu = problem.rates[0] / n
     if c_nu <= 0.0:
         return None
-    for r, a in enumerate(problem.rates, start=1):
-        want = math.comb(n, r) * c_nu ** r
-        if abs(a - want) > _PATTERN_TOL * max(1.0, abs(want)):
-            return None
-    return n, c_nu
+    if not all(_close(a, math.comb(n, r) * c_nu ** r)
+               for r, a in enumerate(problem.rates, start=1)):
+        return None
+    return _Plan(problem.nus[0], c_nu, n)
 
 
-def _geometric_match(problem):
-    """Detect rates ``a^r`` against orders ``r nu``; returns ``(n, a)``."""
+def _geometric_plan(problem):
+    """Rates ``a^r`` on orders ``r nu``, ``n >= 2``, telescope to the
+    operator inverse ``(1 - a s^-nu) / (1 - a^(n+1) s^-((n+1) nu))``: that
+    plan, or None."""
     if _arithmetic_step(problem) is None:
         return None
     n = len(problem.nus)
     if n < 2:
         return None
     a = problem.rates[0]
-    if a == 0.0:
+    if a == 0.0 or not all(_close(rate, a ** r) for r, rate
+                           in enumerate(problem.rates, start=1)):
         return None
-    for r, rate in enumerate(problem.rates, start=1):
-        if abs(rate - a ** r) > _PATTERN_TOL * max(1.0, abs(a) ** r):
-            return None
-    return n, a
-
-
-def _frozen_cells(t, controls):
-    return _cells_for(max(t, 1e-3), controls)
-
-
-def _ddt_of_modulated(f, t, power, mod, controls):
-    """d/dt of the convolution, on one frozen mesh family around t."""
-    cells = _frozen_cells(t, controls)
-
-    def g(tt):
-        return singular_convolution(f, tt, power, mod, controls,
-                                    n_cells=cells)
-
-    return ddt(g, t)
+    nu = problem.nus[0]
+    return _Plan((n + 1.0) * nu, -(a ** (n + 1)), 1,
+                 numer=((1.0, 0.0), (-a, nu)))
 
 
 def solve_single_term(problem: KineticProblem, ts, via="closed",
                       controls=None):
     """Solver for a single relaxation term of order ``nu``.
 
-    ``via="closed"`` uses the resolvent convolution, collapsing to a pure
+    ``via="closed"`` is the binomial plan with ``n = 1``, a pure
     Mittag-Leffler expression for unit, power-law and matched
     Mittag-Leffler forcings.  ``via="derivative"`` instead differentiates
     the convolution of the forcing with ``E_nu(-a (t-u)^nu)``; the two
@@ -454,97 +509,50 @@ def solve_single_term(problem: KineticProblem, ts, via="closed",
     """
     if len(problem.nus) != 1:
         raise DomainError("this route needs exactly one term")
-    controls = controls if controls is not None else ConvolutionControls()
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if np.any(ts < 0.0):
-        raise DomainError("times must be nonnegative")
-    nu = problem.nus[0]
-    a = problem.rates[0]
-    f = problem.forcing
     if via == "closed":
-        arg = -a * ts ** nu
-        if isinstance(f, Unit):
-            return problem.n0 * _ml_values(nu, 1.0, 1.0, arg)
-        if isinstance(f, PowerLaw):
-            with np.errstate(divide="ignore"):
-                head = ts ** (f.rho - 1.0)
-            return (problem.n0 * math.gamma(f.rho) * head
-                    * _ml_values(nu, f.rho, 1.0, arg))
-        if (isinstance(f, MLForcing)
-                and abs(f.nu - nu) <= _PATTERN_TOL * max(1.0, nu)
-                and abs(f.c ** nu - a) <= _PATTERN_TOL * max(1.0, abs(a))):
-            with np.errstate(divide="ignore"):
-                head = ts ** (f.gamma_ - 1.0)
-            return (problem.n0 * head
-                    * _ml_values(nu, f.gamma_, f.delta + 1.0, arg))
-        out = np.array([_base_term(problem, t, controls) if t > 0.0
-                        else float(f.value(np.asarray(t, float)))
-                        for t in ts])
-        return problem.n0 * out
+        return _closed(problem, ts, _Plan(problem.nus[0], problem.rates[0], 1),
+                       controls)
     if via == "derivative":
-        mod = MLModulator(beta=nu, gamma_=1.0, delta=1.0, coef=-a)
-        out = np.array([
-            _ddt_of_modulated(f.value, t, 0.0, mod, controls) if t > 0.0
-            else float(f.value(np.asarray(t, float)))
-            for t in ts])
-        return problem.n0 * out
+        controls = controls if controls is not None else ConvolutionControls()
+        f = problem.forcing.value
+        mod = MLModulator(beta=problem.nus[0], gamma_=1.0, delta=1.0,
+                          coef=-problem.rates[0])
+
+        def deriv(t):
+            # one frozen mesh family around t, so ddt differences values
+            # rather than quadrature noise
+            cells = _cells_for(max(t, 1e-3), controls)
+            return ddt(lambda tt: singular_convolution(
+                f, tt, 0.0, mod, controls, n_cells=cells), t)
+
+        return problem.n0 * np.array([
+            deriv(t) if t > 0.0 else float(f(np.asarray(t, float)))
+            for t in _times(ts)])
     raise DomainError("via must be 'closed' or 'derivative'")
 
 
 def solve_binomial(problem: KineticProblem, ts, controls=None):
     """Solver for binomially weighted rates ``C(n, r) c^(nu r)``.
 
-    The full operator is then ``(1 + c^nu I^nu)^n`` and the solution is
-    the derivative of the forcing convolved with ``E^n_{nu,1}``; the
-    derivative is taken numerically on a frozen mesh family.
+    The full operator is then ``(1 + c^nu I^nu)^n``, so the solution is a
+    single Prabhakar term of degree ``n + d``.
     """
-    match = _binomial_match(problem)
-    if match is None:
+    plan = _binomial_plan(problem)
+    if plan is None:
         raise DomainError("rates do not follow the binomial pattern")
-    n, c_nu = match
-    controls = controls if controls is not None else ConvolutionControls()
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if np.any(ts < 0.0):
-        raise DomainError("times must be nonnegative")
-    nu = problem.nus[0]
-    f = problem.forcing.value
-    mod = MLModulator(beta=nu, gamma_=1.0, delta=float(n), coef=-c_nu)
-    out = np.array([
-        _ddt_of_modulated(f, t, 0.0, mod, controls) if t > 0.0
-        else float(f(np.asarray(t, float)))
-        for t in ts])
-    return problem.n0 * out
+    return _closed(problem, ts, plan, controls)
 
 
 def solve_geometric(problem: KineticProblem, ts, controls=None):
     """Solver for geometric rates ``a^r`` on orders ``r nu``, ``n >= 2``.
 
     The geometric sum telescopes, leaving two kernels of order
-    ``(n+1) nu`` with argument ``a^(n+1) x^((n+1) nu)``.
+    ``(n+1) nu`` with argument ``a^(n+1) t^((n+1) nu)``.
     """
-    match = _geometric_match(problem)
-    if match is None:
+    plan = _geometric_plan(problem)
+    if plan is None:
         raise DomainError("rates do not follow the geometric pattern")
-    n, a = match
-    controls = controls if controls is not None else ConvolutionControls()
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if np.any(ts < 0.0):
-        raise DomainError("times must be nonnegative")
-    nu = problem.nus[0]
-    big = (n + 1.0) * nu
-    coef = a ** (n + 1)
-    f = problem.forcing.value
-    mod1 = MLModulator(beta=big, gamma_=1.0, delta=1.0, coef=coef)
-    mod2 = MLModulator(beta=big, gamma_=nu, delta=1.0, coef=coef)
-    out = np.empty(ts.shape)
-    for i, t in enumerate(ts):
-        if t == 0.0:
-            out[i] = float(f(np.asarray(t, float)))
-            continue
-        lead = _ddt_of_modulated(f, t, 0.0, mod1, controls)
-        tail = singular_convolution(f, t, nu - 1.0, mod2, controls)
-        out[i] = lead - a * tail
-    return problem.n0 * out
+    return _closed(problem, ts, plan, controls)
 
 
 def solve_ml_closed(problem: KineticProblem, ts):
@@ -553,36 +561,22 @@ def solve_ml_closed(problem: KineticProblem, ts):
     The forcing resolvent and the operator resolvent merge, giving
     ``N0 t^(gamma_-1) E^(delta+n)_{nu, gamma_}(-(c t)^nu)``.
     """
-    match = _binomial_match(problem)
+    plan = _binomial_plan(problem)
     f = problem.forcing
-    if match is None or not isinstance(f, MLForcing):
-        raise DomainError("needs binomial rates and Mittag-Leffler forcing")
-    n, c_nu = match
-    nu = problem.nus[0]
-    if (abs(f.nu - nu) > _PATTERN_TOL * max(1.0, nu)
-            or abs(f.c ** nu - c_nu) > _PATTERN_TOL * max(1.0, c_nu)):
-        raise DomainError("forcing parameters do not match the operator")
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    with np.errstate(divide="ignore"):
-        head = ts ** (f.gamma_ - 1.0)
-    return (problem.n0 * head
-            * _ml_values(nu, f.gamma_, f.delta + n, -c_nu * ts ** nu))
+    if (plan is None or not isinstance(f, MLForcing)
+            or _kernel(f, plan.b, plan.k) is None):
+        raise DomainError("needs binomial rates and matched Mittag-Leffler "
+                          "forcing")
+    return _closed(problem, ts, plan)
 
 
 def solve_power_closed(problem: KineticProblem, ts):
     """Fully closed solution for binomial rates with power-law forcing:
     ``N0 Gamma(rho) t^(rho-1) E^n_{nu, rho}(-(c t)^nu)``."""
-    match = _binomial_match(problem)
-    f = problem.forcing
-    if match is None or not isinstance(f, PowerLaw):
+    plan = _binomial_plan(problem)
+    if plan is None or not isinstance(problem.forcing, PowerLaw):
         raise DomainError("needs binomial rates and power-law forcing")
-    n, c_nu = match
-    nu = problem.nus[0]
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    with np.errstate(divide="ignore"):
-        head = ts ** (f.rho - 1.0)
-    return (problem.n0 * math.gamma(f.rho) * head
-            * _ml_values(nu, f.rho, float(n), -c_nu * ts ** nu))
+    return _closed(problem, ts, plan)
 
 
 def binomial_problem(n0, n, nu, c, forcing):
@@ -623,22 +617,20 @@ def select_solver(problem: KineticProblem):
     Returns ``(name, callable)`` where the callable maps ``(problem, ts)``
     to solution values.  Preference order: fully closed forms, then the
     single-term, binomial, geometric routes, then the general expansion.
+    Every route evaluates through the same Prabhakar-term engine.
     """
-    binom = _binomial_match(problem)
+    binom = _binomial_plan(problem)
     f = problem.forcing
-    nu = problem.nus[0]
-    if binom is not None and isinstance(f, MLForcing):
-        n, c_nu = binom
-        if (abs(f.nu - nu) <= _PATTERN_TOL * max(1.0, nu)
-                and abs(f.c ** nu - c_nu) <= _PATTERN_TOL * max(1.0, c_nu)):
-            return "ml-closed", solve_ml_closed
+    if (binom is not None and isinstance(f, MLForcing)
+            and _kernel(f, binom.b, binom.k) is not None):
+        return "ml-closed", solve_ml_closed
     if binom is not None and isinstance(f, PowerLaw):
         return "power-closed", solve_power_closed
     if len(problem.nus) == 1:
         return "single", solve_single_term
     if binom is not None:
         return "binomial", solve_binomial
-    if _geometric_match(problem) is not None:
+    if _geometric_plan(problem) is not None:
         return "geometric", solve_geometric
     if _arithmetic_step(problem) is not None:
         return "arithmetic", solve_arithmetic

@@ -88,9 +88,10 @@ def invert_laplace(transform, t, controls=None):
 
     Fixed-Talbot contour inversion.  The result is recomputed with a
     larger contour and a smaller scale; if the two disagree beyond ten
-    times ``precision_target`` an :class:`OracleFailure` is raised, so a
-    quietly wrong inversion (image singularities near the contour,
-    precision exhaustion) cannot slip through.
+    times ``precision_target``, or either pass is not finite, an
+    :class:`OracleFailure` is raised, so a quietly wrong inversion (image
+    singularities near the contour, precision exhaustion, an image that
+    overflows on the contour) cannot slip through.
     """
     c = controls if controls is not None else TalbotControls()
     if t <= 0.0:
@@ -99,6 +100,9 @@ def invert_laplace(transform, t, controls=None):
     scale = min(0.4 * m, _SCALE_CAP)
     v1 = _talbot_once(transform, t, m, scale)
     v2 = _talbot_once(transform, t, m + 16, 0.85 * scale)
+    if not (math.isfinite(v1) and math.isfinite(v2)):
+        raise OracleFailure(
+            f"contour sum is not finite at t={t:g}: {v1!r} vs {v2!r}")
     # disagreements below 1e-12 are accepted outright: the weighted sums
     # carry e^scale roundoff, so the contour cannot resolve finer than
     # that in double precision (near a zero of the original both passes

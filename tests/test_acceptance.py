@@ -11,7 +11,7 @@ expansion to zero levels, and require the affected criteria to fail.
 import pytest
 
 from fkin.kinetics import TruncationPolicy
-from fkin.verification import run_all
+from fkin.verification import check_closed_vs_oracles, run_all
 
 CRITERIA = (
     "ml-reductions",
@@ -53,3 +53,13 @@ def test_zero_truncation_is_caught():
         results = run_all(filter=name, truncation=tp)
         assert results and all(not r.passed for r in results), \
             f"zero-level truncation went unnoticed by {name}"
+
+
+@pytest.mark.parametrize("row", [
+    {"inversion_rel": float("nan"), "stepper_rels": [1e-5, 1e-5, 1e-5]},
+    {"inversion_rel": 1e-9, "stepper_rels": [1e-5, 1e-5, float("nan")]},
+], ids=["inversion", "stepper"])
+def test_nan_error_is_caught(row):
+    # a nan compares False against any tolerance; it must fail the row
+    row = dict(row, name="nan-row", error=None)
+    assert not check_closed_vs_oracles([row]).passed

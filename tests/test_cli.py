@@ -9,7 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fkin.cli import execute, main, parse_config, render_csv
+from fkin.cli import _ROUTES, execute, main, parse_config, render_csv
+from fkin.errors import DomainError
+from fkin.kinetics import (KineticProblem, MLForcing, PowerLaw,
+                           binomial_problem, select_solver)
+from fkin.verification import canonical_problems
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -224,3 +228,41 @@ def test_rescue_tables_repeat_bytes(payload):
     first = render_csv(*execute(config))
     for _ in range(9):
         assert render_csv(*execute(config)) == first
+
+
+# The canonical panel plus closed-form cases, and the selector values each
+# fits; "multiterm" fits every problem.
+PARITY_PANEL = dict(canonical_problems()) | {
+    "single-power": KineticProblem(1.0, (0.5,), (1.0,), PowerLaw(2.0)),
+    "single-ml": KineticProblem(1.0, (0.5,), (0.5,),
+                                MLForcing(nu=0.5, gamma_=2.0, delta=1.5,
+                                          c=0.25)),
+    "binomial-power": binomial_problem(1.0, 2, 0.5, 0.5, PowerLaw(2.0)),
+}
+SINGLES = {"single-classical", "single-half", "single-power", "single-ml"}
+FITS = {
+    "single": SINGLES,
+    "binomial": SINGLES | {"binomial", "binomial-power"},
+    "geometric": {"geometric"},
+    "arithmetic": SINGLES | {"two-term-arithmetic", "binomial", "geometric",
+                             "binomial-power"},
+    "multiterm": set(PARITY_PANEL),
+    "ml-closed": {"single-ml"},
+    "power-closed": {"single-power", "binomial-power"},
+}
+
+
+@pytest.mark.parametrize("selector", sorted(_ROUTES))
+def test_selector_parity(selector):
+    # a route forced onto a problem it fits gives the automatic route's
+    # values; onto one it does not fit, it refuses
+    ts = np.array([0.125, 0.25, 0.5, 1.0, 2.0, 3.5, 5.0])
+    assert FITS[selector] <= set(PARITY_PANEL)
+    for name, problem in PARITY_PANEL.items():
+        if name in FITS[selector]:
+            auto = select_solver(problem)[1](problem, ts)
+            got = _ROUTES[selector](problem, ts)
+            assert float(np.max(np.abs(got - auto) / np.abs(auto))) < 1e-12, name
+        else:
+            with pytest.raises(DomainError):
+                _ROUTES[selector](problem, ts)

@@ -204,6 +204,10 @@ class TestStableDensity:
         # at rho=0.002 the density itself exceeds the double range
         with pytest.raises(NonConvergence):
             levy_density(StableParams(0.002), 5e-324)
+        # at rho=0.001 the series converges cleanly, but its sum over t
+        # overflows
+        with pytest.raises(NonConvergence):
+            levy_density(StableParams(0.001), 5e-324)
 
     def test_nonnegative(self):
         for rho in (0.3, 0.5, 0.8):

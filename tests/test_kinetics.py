@@ -7,15 +7,15 @@ import pytest
 
 from fkin.errors import DomainError, ResourceError
 from fkin.kinetics import (KineticProblem, MLForcing, PowerLaw, Sampled,
-                           TruncationPolicy, Unit, binomial_problem,
-                           enumerate_compositions, geometric_problem,
-                           laplace_domain, residual_grid, select_solver,
-                           solve_arithmetic, solve_binomial, solve_geometric,
-                           solve_ml_closed, solve_multiterm,
+                           TruncationPolicy, Unit, _quadrature_expansion,
+                           binomial_problem, enumerate_compositions,
+                           geometric_problem, laplace_domain, residual_grid,
+                           select_solver, solve_arithmetic, solve_binomial,
+                           solve_geometric, solve_ml_closed, solve_multiterm,
                            solve_multiterm_grid, solve_power_closed,
                            solve_single_term)
 from fkin.fracops import SampledFunction
-from fkin.oracles import forward_laplace
+from fkin.oracles import StepperControls, forward_laplace, volterra_solve
 
 TS = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
 
@@ -145,17 +145,58 @@ class TestRouteAgreement:
         # leaving a pure power-kernel solution
         p = binomial_problem(1, 2, 0.5, 0.5,
                              MLForcing(nu=0.5, gamma_=2.0, delta=1.5, c=0.5))
-        assert max_rel(solve_ml_closed(p, TS), solve_binomial(p, TS)) < 1e-8
+        assert max_rel(solve_ml_closed(p, TS),
+                       _quadrature_expansion(p, TS)) < 1e-8
 
-    def test_power_closed_vs_binomial(self):
+    def test_power_closed_vs_quadrature(self):
         p = KineticProblem(1, (0.5,), (1.0,), PowerLaw(2.0))
-        assert max_rel(solve_power_closed(p, TS), solve_binomial(p, TS)) < 1e-8
+        assert max_rel(solve_power_closed(p, TS),
+                       _quadrature_expansion(p, TS)) < 1e-8
 
     def test_grid_matches_pointwise(self):
         p = KineticProblem(2, (0.5, 1.0), (1.0, 0.3), Unit())
         ts, vals = solve_multiterm_grid(p, 2.0)
         sub = slice(0, None, 200)
         assert max_rel(vals[sub], solve_multiterm(p, ts[sub])) < 1e-12
+
+
+class TestQuadratureRoute:
+    """Forcings without a Prabhakar image take the quadrature expansion,
+    whatever the rate pattern."""
+
+    # samples of t on [0, 8]: the forcing equals PowerLaw(2) there
+    GRID = np.linspace(0.0, 8.0, 33)
+    RAMP = Sampled(SampledFunction(GRID, GRID.copy()))
+
+    @staticmethod
+    def stepped(problem, ts):
+        dt = 1.0 / 512.0
+        _, vals = volterra_solve(problem, StepperControls(dt=dt,
+                                                          t_end=ts[-1]))
+        return vals[np.rint(ts / dt).astype(int)]
+
+    @pytest.mark.parametrize("nus, rates, route", [
+        ((0.5,), (1.0,), "single"),
+        ((0.5, 1.0), (1.0, 0.3), "arithmetic"),
+    ], ids=["one-term", "two-term"])
+    def test_sampled_ramp(self, nus, rates, route):
+        p = KineticProblem(1, nus, rates, self.RAMP)
+        name, solver = select_solver(p)
+        assert name == route
+        got = solver(p, TS)
+        closed = KineticProblem(1, nus, rates, PowerLaw(2.0))
+        assert max_rel(got, select_solver(closed)[1](closed, TS)) < 1e-10
+        assert max_rel(got, self.stepped(p, TS)) < 1e-4
+
+    def test_unmatched_ml_forcing(self):
+        # the forcing's c^nu = 1/2 differs from the base c_nu = 2^(-1/2)
+        # of the binomial rates; each time point costs about 0.4 s
+        p = binomial_problem(1, 2, 0.5, 0.5,
+                             MLForcing(nu=0.5, gamma_=2.0, delta=1.5, c=0.25))
+        name, solver = select_solver(p)
+        assert name == "binomial"
+        ts = TS[:3]
+        assert max_rel(solver(p, ts), self.stepped(p, ts)) < 1e-4
 
 
 class TestStructure:

@@ -8,7 +8,9 @@ import pytest
 
 from fkin.errors import (DomainError, OracleFailure, SingularStep,
                          TruncationWarning)
-from fkin.kinetics import (KineticProblem, PowerLaw, Unit, solve_power_closed,
+from fkin.fracops import SampledFunction
+from fkin.kinetics import (KineticProblem, PowerLaw, Sampled, Unit,
+                           laplace_domain, solve_power_closed,
                            solve_single_term)
 from fkin.oracles import (StepperControls, TalbotControls, forward_laplace,
                           invert_laplace, laplace_image, volterra_solve)
@@ -85,6 +87,15 @@ class TestInvert:
         # residue content, so the passes must disagree loudly
         with pytest.raises(OracleFailure):
             invert_laplace(lambda s: 1.0 / (s - 8.5), 1.0)
+
+    def test_non_finite_image_is_caught(self):
+        # a time-limited sampled forcing: at t = 1/8 the contour reaches
+        # Re s far below zero, where e^(-s T) of the image overflows
+        grid = np.linspace(0.0, 8.0, 33)
+        p = KineticProblem(1, (0.5,), (1.0,),
+                           Sampled(SampledFunction(grid, grid.copy())))
+        with np.errstate(all="ignore"), pytest.raises(OracleFailure):
+            invert_laplace(lambda s: laplace_domain(p, s), 0.125)
 
     def test_argument_validation(self):
         with pytest.raises(DomainError):
