@@ -34,7 +34,7 @@ from .kinetics import (
     solve_power_closed,
     solve_single_term,
 )
-from .specfun import MLParams, ml_prabhakar
+from .specfun import MLParams, _ml_values, ml_prabhakar
 from .verification import run_all, verify_problem
 
 SCHEMA_VERSION = 1
@@ -271,9 +271,7 @@ def execute(config):
             return ("t", "value"), list(zip(config.time_grid, values))
         if config.mode == "specfun-eval":
             beta, gamma_, delta = config.problem
-            values = [ml_prabhakar(MLParams(beta=beta, gamma_=gamma_,
-                                            delta=delta, z=float(z)))
-                      for z in config.space_grid]
+            values = _ml_values(beta, gamma_, delta, config.space_grid)
             return ("z", "value"), list(zip(config.space_grid, values))
         report = verify_problem(config.problem, config.time_grid)
         return report.rows()

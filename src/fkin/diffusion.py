@@ -18,9 +18,12 @@ three-dimensional one.  The solutions switch to it past eight diffusion
 lengths, ``B = x^2/(4 D t^alpha) > 16``; the stable density wherever its
 series fails its rounding guard.  The integral is certified by two
 Gauss-Legendre rules that must agree, so every returned value is
-trustworthy or an exception.  The explicit one- and three-dimensional
-series keep an extended-precision rescue and serve as the independent
-cross-check of both routes.
+trustworthy or an exception.  A residue series that fails its
+double-precision rounding guard (the bulk solution for alpha near 1, and
+the explicit one- and three-dimensional series that serve as the
+cross-check of both routes) is re-summed by the one extended-precision
+engine of :mod:`fkin.specfun`, with its tails cut at the working
+precision.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ import numpy as np
 import scipy.special as _sc
 
 from .errors import DomainError, NonConvergence, NotSupported
-from .specfun import _EPS, _GUARD_FACTOR, _GUARD_REL, _MAX_DPS, gamma_recip
-from .specfun import _gamma_recip_array
+from .specfun import (_EPS, _GUARD_FACTOR, _GUARD_REL, _Family,
+                      _gamma_recip_array, _log_abs_rgamma, _sum_extended,
+                      gamma_recip)
 
 __all__ = [
     "DiffusionProblem",
@@ -94,21 +98,6 @@ class StableParams:
             raise DomainError("rho must lie in (0, 1)")
 
 
-def _log_abs_rgamma(g):
-    """log|1/Gamma(g)| elementwise; -inf at the poles."""
-    g = np.asarray(g, dtype=float)
-    out = np.empty_like(g)
-    pos = g > 0.0
-    out[pos] = -_sc.gammaln(g[pos])
-    neg = ~pos
-    if np.any(neg):
-        gn = g[neg]
-        frac = np.abs(np.sin(math.pi * (gn - np.round(gn))))
-        with np.errstate(divide="ignore"):
-            out[neg] = _sc.gammaln(1.0 - gn) + np.log(frac) - math.log(math.pi)
-    return out
-
-
 def _budget_for(slope):
     # double-precision reciprocal gamma overflows once the argument
     # passes about -170; the caller's gamma argument is g0 - slope*m
@@ -130,54 +119,11 @@ def _fsum_with_guard(terms):
     return total, converged, clean
 
 
-def _mp_alt_series(builder, k0, log10_peak, budget=_MP_BUDGET):
-    """sum_{k>=k0} (-w)^k rgamma(g0 - slope*k) / k! in extended precision.
-
-    ``builder`` returns ``(w, g0, slope)`` and runs inside the working
-    precision so every constant is formed there; forming them in double
-    first injects one-ulp argument noise that the huge cancellation of
-    the tail regime amplifies past the value itself.
-    """
-    dps = min(_MAX_DPS, 40 + max(0, int(log10_peak)))
-    for _ in range(4):
-        with mp.workdps(dps):
-            wm, g0m, slm = builder()
-            total = mp.mpf(0)
-            fac = mp.factorial(k0)
-            powk = (-wm) ** k0
-            peak = mp.mpf(0)
-            small = 0
-            done = False
-            for k in range(k0, k0 + budget):
-                term = powk * mp.rgamma(g0m - slm * k) / fac
-                total += term
-                at = abs(term)
-                if at > peak:
-                    peak = at
-                if at <= mp.mpf(_STOP_TOL) * max(abs(total), mp.mpf(1e-300)):
-                    small += 1
-                    if small >= 3 and k - k0 > 4:
-                        done = True
-                        break
-                else:
-                    small = 0
-                powk *= -wm
-                fac *= k + 1
-            if not done:
-                raise NonConvergence(
-                    "series did not settle within the extended budget")
-            floor = mp.mpf(10) ** (-dps + 8)
-            if peak * mp.mpf(10) ** (-dps) <= 1e-19 * max(abs(total), floor):
-                return float(total)
-        if dps >= _MAX_DPS:
-            break
-        dps = min(_MAX_DPS, 2 * dps)
-    raise NonConvergence("extended precision exhausted without a certificate")
-
-
-def _alt_series(alpha, A, g0, slope, builder):
-    """sum_m (-sqrt(A))^m rgamma(g0 - slope*m) / m! with rescue."""
+def _alt_series(alpha, A, drop):
+    """sum_m (-sqrt(A))^m rgamma(1 - drop alpha - alpha m/2) / m!, re-summed
+    in extended precision when the double sum fails its guard."""
     w = math.sqrt(A)
+    g0, slope = 1.0 - drop * alpha, alpha / 2.0
     n = _budget_for(slope)
     ms = np.arange(n, dtype=float)
     rg = _gamma_recip_array(g0 - slope * ms)
@@ -188,12 +134,12 @@ def _alt_series(alpha, A, g0, slope, builder):
     total, converged, clean = _fsum_with_guard(terms)
     if converged and clean:
         return total
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = ms * (math.log(w) if w > 0 else -math.inf) \
-            - _sc.gammaln(ms + 1.0) + _log_abs_rgamma(g0 - slope * ms)
-    log10_peak = float(np.max(logs[np.isfinite(logs)])) / math.log(10.0) \
-        if np.any(np.isfinite(logs)) else 0.0
-    return _mp_alt_series(builder, 0, log10_peak)
+
+    def build():
+        am = mp.mpf(alpha)
+        return [_Family(1, -mp.sqrt(A), (), (1,), 1 - drop * am, -am / 2)]
+
+    return _sum_extended(build, None, 3, _MP_BUDGET)
 
 
 def series_n1(alpha, A):
@@ -210,9 +156,7 @@ def series_n1(alpha, A):
         raise DomainError("A must be finite and nonnegative")
     if A > _MAX_A:
         raise NonConvergence(f"A={A:g} beyond the validated radius {_MAX_A:g}")
-    return _alt_series(
-        alpha, A, 1.0 - alpha / 2.0, alpha / 2.0,
-        lambda: (mp.sqrt(A), 1 - mp.mpf(alpha) / 2, mp.mpf(alpha) / 2))
+    return _alt_series(alpha, A, 0.5)
 
 
 def series_n3(alpha, A):
@@ -228,9 +172,7 @@ def series_n3(alpha, A):
         raise DomainError("A must be finite and positive")
     if A > _MAX_A:
         raise NonConvergence(f"A={A:g} beyond the validated radius {_MAX_A:g}")
-    return _alt_series(
-        alpha, A, 1.0 - alpha, alpha / 2.0,
-        lambda: (mp.sqrt(A), 1 - mp.mpf(alpha), mp.mpf(alpha) / 2))
+    return _alt_series(alpha, A, 1.0)
 
 
 def asymptotic_n2(alpha, x, t):
@@ -287,81 +229,21 @@ def _two_sum(alpha, n_dim, B):
         all_clean = all_clean and clean
     if all_conv and all_clean:
         return total
-    return _two_sum_mp(alpha, n_dim, B)
 
+    def build():
+        # P_0 = Gamma(c0) B^p0, P_(l+1) = P_l B / ((l+1-c0)(l+1)); the
+        # constants are formed here, not taken from the double tuples:
+        # 1 - 0.45 rounds in double, and the cancellation amplifies that
+        # one ulp past the tail values themselves
+        Bm, alm, half = mp.mpf(B), mp.mpf(alpha), mp.mpf(n_dim) / 2
+        return [_Family(mp.gamma(c0) * Bm ** p0, Bm, (), (1 - c0, 1), d0,
+                        -alm)
+                for c0, p0, d0 in ((1 - half, half, 1 - alm * half),
+                                   (half - 1, 1, 1 - alm))]
 
-def _two_sum_mp(alpha, n_dim, B):
-    fams = (
-        (1.0 - n_dim / 2.0, n_dim / 2.0, 1.0 - alpha * n_dim / 2.0),
-        (n_dim / 2.0 - 1.0, 1.0, 1.0 - alpha),
-    )
-    n = _budget_for(alpha)
-    ls = np.arange(n, dtype=float)
-    peak = -math.inf
-    logw = math.log(B) if B > 0.0 else -math.inf
-    for c0, p0, d0 in fams:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = (p0 + ls) * logw + _sc.gammaln(c0 - ls) \
-                - _sc.gammaln(ls + 1.0) + _log_abs_rgamma(d0 - alpha * ls)
-        finite = logs[np.isfinite(logs)]
-        if finite.size:
-            peak = max(peak, float(np.max(finite)))
-    log10_peak = peak / math.log(10.0) if math.isfinite(peak) else 0.0
-    dps = min(_MAX_DPS, 40 + max(0, int(log10_peak)))
-    for _ in range(4):
-        with mp.workdps(dps):
-            Bm = mp.mpf(B)
-            alm = mp.mpf(alpha)
-            # family constants formed here, not reused from the double
-            # tuples: 1 - 0.45 rounds in double and the cancellation
-            # amplifies that single ulp past the tail values themselves
-            fams_mp = (
-                (1 - mp.mpf(n_dim) / 2, mp.mpf(n_dim) / 2,
-                 1 - alm * n_dim / 2),
-                (mp.mpf(n_dim) / 2 - 1, mp.mpf(1), 1 - alm),
-            )
-            total = mp.mpf(0)
-            peak_t = mp.mpf(0)
-            # the family totals cancel against each other, so a tail cut
-            # relative to one family alone is not small relative to the
-            # difference; push each tail down to the working precision
-            stop = mp.mpf(10) ** (-dps + 15)
-            for c0, p0, d0 in fams_mp:
-                s = mp.mpf(0)
-                gnum = mp.gamma(c0)
-                fac = mp.mpf(1)
-                powb = Bm ** p0
-                small = 0
-                done = False
-                for l in range(_MP_BUDGET):
-                    term = gnum * powb * mp.rgamma(d0 - alm * l) / fac
-                    if l % 2:
-                        term = -term
-                    s += term
-                    at = abs(term)
-                    if at > peak_t:
-                        peak_t = at
-                    if at <= stop * max(abs(s), mp.mpf(1e-300)):
-                        small += 1
-                        if small >= 3 and l > 4:
-                            done = True
-                            break
-                    else:
-                        small = 0
-                    gnum /= c0 - l - 1
-                    powb *= Bm
-                    fac *= l + 1
-                if not done:
-                    raise NonConvergence(
-                        "series did not settle within the extended budget")
-                total += s
-            floor = mp.mpf(10) ** (-dps + 8)
-            if peak_t * mp.mpf(10) ** (-dps) <= 1e-19 * max(abs(total), floor):
-                return float(total)
-        if dps >= _MAX_DPS:
-            break
-        dps = min(_MAX_DPS, 2 * dps)
-    raise NonConvergence("extended precision exhausted without a certificate")
+    # the family totals cancel against each other, so each family's tail
+    # is cut at the working precision, not relative to its own sum
+    return _sum_extended(build, None, 3, _MP_BUDGET)
 
 
 # Taylor coefficients of sin(x)/x - 1 in powers of x^2, to x^20

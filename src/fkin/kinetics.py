@@ -56,6 +56,11 @@ __all__ = [
 # Relative tolerance used when matching coefficient patterns.
 _PATTERN_TOL = 1e-10
 
+# A closed form whose numerator terms sum in magnitude past this multiple of
+# its value raises NonConvergence: the cancellation would amplify the
+# terms' 1e-13 relative error past 1e-9 of the value.
+_CANCEL_LIMIT = 1e4
+
 
 @dataclass(frozen=True)
 class Unit:
@@ -314,7 +319,9 @@ def _closed(problem, ts, plan, controls=None, truncation=None):
     def level_sum(pos, level, groups):
         delta = float(plan.m * (level + 1) + d)
         out = None
+        mass = 0.0
         for coef, power in plan.numer:
+            part = None
             for gamma_r, weight in groups:
                 gg = g + power + gamma_r
                 with np.errstate(divide="ignore"):
@@ -322,6 +329,12 @@ def _closed(problem, ts, plan, controls=None, truncation=None):
                 term = (problem.n0 * const * coef * weight * head
                         * _ml_values(plan.b, gg, delta, arg[pos]))
                 out = term if out is None else out + term
+                part = term if part is None else part + term
+            mass = mass + np.abs(part)
+        if np.any(mass > _CANCEL_LIMIT * np.abs(out)):
+            raise NonConvergence(
+                "numerator terms cancel by more than "
+                f"{_CANCEL_LIMIT:g}: the closed form has lost its digits")
         return out
 
     return _sum_levels(problem, ts, plan.levels, level_sum, truncation)

@@ -1,18 +1,26 @@
-"""Reciprocal gamma and the Mittag-Leffler function family.
+"""Reciprocal gamma, the Mittag-Leffler function family, and the series
+engines every fkin series runs on.
 
-Everything here is evaluated from the defining power series.  The public
-entry points work in double precision with compensated (Kahan) summation and
-keep track of the largest term seen; when alternating-series cancellation
-would visibly contaminate the result, the same series is re-summed in
-extended precision and rounded back to a float.  No asymptotic expansions
-are used, so arguments far outside the supported radius raise
-``NonConvergence`` instead of silently degrading.
+Everything here is evaluated from the defining power series, by two
+engines.  ``_ml_values`` is the one double-precision Mittag-Leffler pass:
+compensated (Kahan) summation over an array of arguments, each entry
+stopped by its own rule and checked by a rounding-noise guard against its
+summed term magnitudes.  Entries that fail the guard go to
+``_sum_extended``, the one extended-precision engine, which also rescues
+the residue series of :mod:`fkin.diffusion`: it sums families of terms
+``P_k rgamma(g0 + s k)`` whose ``P_k`` follow ratio recurrences, sizes its
+first pass from a double scan of the log term magnitudes, and certifies a
+pass only when its working noise is below 1e-19 of the total (with an
+absolute floor below the double range), escalating the digits otherwise.
+No asymptotic expansions are used, so arguments far outside the supported
+radius raise ``NonConvergence`` instead of silently degrading.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -45,8 +53,18 @@ _POLE_TOL = 1e-12
 _GUARD_REL = 1e-13
 _GUARD_FACTOR = 4.0
 
-# Hard ceiling on working decimal digits for the extended-precision path.
+# Hard ceiling on working decimal digits for the extended-precision path,
+# and on its passes.
 _MAX_DPS = 8000
+_MP_PASSES = 4
+# An extended-precision pass is certified when its working noise is below
+# _MP_CERT of |total|, or of _MP_FLOOR: a total under the floor rounds to
+# zero in double (the smallest subnormal is 4.9e-324).
+_MP_CERT = 1e-19
+_MP_FLOOR = mp.mpf("1e-330")
+# Terms the log-magnitude scan looks at to size the first pass.
+_SCAN_TERMS = 4096
+_LOG_MAX = math.log(float(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -130,37 +148,31 @@ def pochhammer(delta, tau):
     return out
 
 
-def _poch_over_factorial(delta, n):
-    """Array ``(delta)_tau / tau!`` for ``tau = 0..n-1``.
-
-    Built as a cumulative product of the exact ratios ``(delta+tau)/(tau+1)``
-    so small-integer cases stay exact to rounding.  Returns None when the
-    running product leaves double range.
-    """
-    if n <= 0:
-        return np.empty(0)
-    taus = np.arange(n - 1, dtype=float)
+def _ml_factors(beta, gamma_, delta, n):
+    """``(poch, recips, args)`` of the series terms ``tau < n``:
+    ``(delta)_tau / tau!`` as a cumulative product of the exact ratios
+    ``(delta+tau)/(tau+1)``, so small-integer cases stay exact to rounding,
+    and ``rgamma(args)`` at ``args = beta*tau + gamma_``."""
+    taus = np.arange(n, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = (delta + taus) / (taus + 1.0)
-        out = np.concatenate(([1.0], np.cumprod(ratios)))
-    if not np.all(np.isfinite(out)):
-        return None
-    return out
+        poch = np.concatenate(
+            ([1.0], np.cumprod((delta + taus[:-1]) / (taus[:-1] + 1.0))))
+    args = beta * taus + gamma_
+    return poch, _sc.rgamma(args), args
 
 
 def _ml_coefficients(beta, gamma_, delta, n, abs_z=1.0):
     """Series coefficients ``(delta)_tau rgamma(beta*tau+gamma_) / tau!``.
 
-    Returns None if the Pochhammer factor overflows double precision or the
+    The table of the convolution weights in :mod:`fkin.fracops`.  Returns
+    None if the Pochhammer factor overflows double precision or the
     reciprocal-gamma factor underflows to zero while the term
     ``coefficient * z^tau`` could still be above the subnormal floor;
-    callers then fall back to extended precision.
+    callers then take another route.
     """
-    poch = _poch_over_factorial(delta, n)
-    if poch is None:
+    poch, recips, args = _ml_factors(beta, gamma_, delta, n)
+    if not np.all(np.isfinite(poch)):
         return None
-    args = beta * np.arange(n, dtype=float) + gamma_
-    recips = _sc.rgamma(args)
     # rgamma underflows to exact zero near arg ~ 178; a zeroed coefficient
     # is harmless only when the term it would produce sits far below the
     # peak term of the series (the stopping thresholds never reach more
@@ -180,170 +192,129 @@ def _ml_coefficients(beta, gamma_, delta, n, abs_z=1.0):
     return poch * recips
 
 
-def _log_abs_terms(beta, gamma_, delta, z, n):
-    """log magnitude (natural) and sign of each series term, length n."""
-    taus = np.arange(n, dtype=float)
-    factors = delta + np.arange(max(n - 1, 0), dtype=float)
-    if np.any(factors == 0.0):
-        # terminating (polynomial) case: mark dead terms with -inf
-        first_zero = int(np.argmax(factors == 0.0))
-    else:
-        first_zero = None
-    with np.errstate(divide="ignore"):
-        logpoch = np.concatenate(([0.0], np.cumsum(np.log(np.abs(factors)))))
-    signs = np.concatenate(([1.0], np.cumprod(np.sign(factors))))
-    logs = (
-        logpoch
-        - _sc.gammaln(taus + 1.0)
-        - _sc.gammaln(beta * taus + gamma_)
-        + taus * (math.log(abs(z)) if z != 0.0 else -math.inf)
-    )
-    if z < 0.0:
-        signs = signs * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    if first_zero is not None:
-        logs[first_zero + 1 :] = -math.inf
-    return logs, signs
+def _log_abs_rgamma(g):
+    """log|1/Gamma(g)| elementwise; -inf at the poles.  Negative ``g`` is
+    reflected through ``sin(pi (g - round(g)))``, which keeps digits that
+    ``gammaln`` loses there."""
+    g = np.asarray(g, dtype=float)
+    out = np.empty_like(g)
+    pos = g > 0.0
+    out[pos] = -_sc.gammaln(g[pos])
+    neg = ~pos
+    if np.any(neg):
+        gn = g[neg]
+        frac = np.abs(np.sin(math.pi * (gn - np.round(gn))))
+        with np.errstate(divide="ignore"):
+            out[neg] = _sc.gammaln(1.0 - gn) + np.log(frac) - math.log(math.pi)
+    return out
 
 
-def _sum_double(beta, gamma_, delta, z, ctrl):
-    """Compensated double-precision pass over the series.
+class _Family(NamedTuple):
+    """Terms ``P_k rgamma(g0 + s k)`` of an extended-precision sum, with
+    ``P_0 = c`` and ``P_(k+1) = P_k x prod(a + k, a in nums) /
+    prod(b + k, b in dens)``."""
 
-    Returns ``(value, absum, fired, clean)`` where ``absum`` is the summed
-    magnitude of all terms, ``fired`` reports the stopping rule, and
-    ``clean`` is False when the arithmetic left double range and nothing
-    can be concluded.
+    c: object
+    x: object
+    nums: tuple
+    dens: tuple
+    g0: object
+    s: object
+
+
+def _sum_extended(build, tol, count, budget, positive=False):
+    """Sum of the families ``build()`` returns, in extended precision.
+
+    ``build`` forms the family constants at the precision it is called
+    under, so no constant carries the rounding of a double into the
+    cancellation.  A family stops once ``count`` successive terms fall
+    below ``tol`` times its running sum, or below the working noise
+    ``peak 10^(8-dps)``; ``tol=None`` is the working-precision tail cut
+    ``10^(15-dps)``.  A family still summing after ``budget`` terms raises
+    ``NonConvergence``.
+
+    A double scan of the log term magnitudes sizes the first pass at 30
+    digits past the peak term.  A pass is certified when its working
+    noise ``peak 10^-dps`` is below ``_MP_CERT`` of ``|total|``, with the
+    absolute floor ``_MP_FLOOR`` below the double range; otherwise the
+    next pass carries 30 digits past ``peak / |total|`` (past ``peak /
+    _MP_FLOOR`` while the total is noise), and at least twice the digits
+    of the last.  With ``positive`` every term is positive, and a peak
+    term past the double range gives ``inf`` without a pass.
     """
-    total = 0.0
-    comp = 0.0
-    absum = 0.0
-    small = 0
-    zpow = 1.0
-    n_done = 0
-    block = 64
-    while n_done < ctrl.max_terms:
-        n_new = min(ctrl.max_terms, n_done + block)
-        coeffs = _ml_coefficients(beta, gamma_, delta, n_new, abs(z))
-        if coeffs is None:
-            return total, absum, False, False
-        with np.errstate(over="ignore", invalid="ignore"):
-            for tau in range(n_done, n_new):
-                term = coeffs[tau] * zpow
-                zpow *= z
-                if not math.isfinite(term) or not math.isfinite(zpow):
-                    if not math.isfinite(term):
-                        return total, absum, False, False
-                    # power overflow right after the last used term is fine
-                    # only if the rule already fired
-                    if small < ctrl.consecutive_small:
-                        return total, absum, False, False
-                at = abs(term)
-                absum += at
-                y = term - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
-                # The literal rule compares against the partial sum alone;
-                # the floor terms keep it meaningful at zeros of the function.
-                thr = ctrl.abs_tol * max(abs(total), _EPS * absum, 1e-290)
-                if at <= thr:
-                    small += 1
-                    if small >= ctrl.consecutive_small:
-                        return total, absum, True, True
-                else:
-                    small = 0
-        n_done = n_new
-        block *= 2
-    return total, absum, False, True
-
-
-def _sum_mp(beta, gamma_, delta, z, ctrl, log10_peak):
-    """Extended-precision re-summation, adaptively sized from the expected
-    peak-to-result cancellation.
-
-    Applies the same stopping rule as the double pass, now against exact
-    terms.  The truncation error is therefore ~ abs_tol relative, inside the
-    1e-13 accuracy contract for the default controls.
-    """
-    dps = min(_MAX_DPS, 30 + max(0, int(log10_peak)))
-    tol = mp.mpf(ctrl.abs_tol)
-    for _ in range(4):
-        with mp.workdps(dps):
-            mbeta, mgamma, mdelta, mz = (mp.mpf(v) for v in (beta, gamma_, delta, z))
-            total = mp.mpf(0)
-            peak = mp.mpf(0)
-            poch = mp.mpf(1)  # (delta)_tau / tau!
-            zpow = mp.mpf(1)
-            small = 0
-            fired = False
-            floor = mp.mpf(10) ** (-dps + 8)
-            for tau in range(ctrl.max_terms):
-                term = poch * zpow * mp.rgamma(mbeta * tau + mgamma)
-                at = abs(term)
-                if at > peak:
-                    peak = at
-                total += term
-                if at <= tol * max(abs(total), peak * floor):
-                    small += 1
-                    if small >= ctrl.consecutive_small:
-                        fired = True
-                        break
-                else:
-                    small = 0
-                poch = poch * (mdelta + tau) / (tau + 1)
-                zpow *= mz
-            if not fired:
-                raise NonConvergence(
-                    "Mittag-Leffler series did not satisfy the stopping rule "
-                    f"within max_terms={ctrl.max_terms}"
-                )
-            # certify that the working precision actually beat cancellation;
-            # the absolute clause lets sums at a true zero of the function
-            # certify (relative accuracy is unattainable there, so anything
-            # below 1e-25 of the series peak counts as certified zero)
-            scale = max(abs(total), peak * mp.mpf("1e-25"))
-            if peak * mp.mpf(10) ** (-dps) <= mp.mpf("1e-19") * scale:
-                return float(total)
-            if total != 0:
-                deficit = mp.log10(peak / abs(total))
-            else:
-                deficit = mp.mpf(dps)
-            needed = 30 + int(deficit)
-        if needed <= dps or dps >= _MAX_DPS:
-            dps = min(_MAX_DPS, dps + 200)
-        else:
-            dps = min(_MAX_DPS, needed)
-    raise NonConvergence(
-        "cancellation exceeds the supported extended-precision budget"
-    )
-
-
-def _ml_value(beta, gamma_, delta, z, ctrl):
-    """Full evaluation pipeline shared by the scalar public entry points."""
-    if abs(z) > SERIES_RADIUS:
-        raise NonConvergence(
-            f"|z| = {abs(z):g} lies outside the supported series radius "
-            f"{SERIES_RADIUS:g}"
-        )
-    if z == 0.0:
-        return gamma_recip(gamma_)
-    value, absum, fired, clean = _sum_double(beta, gamma_, delta, z, ctrl)
-    if clean and fired:
-        noise = _GUARD_FACTOR * _EPS * absum
-        if noise <= _GUARD_REL * abs(value):
-            return value
-    if clean and not fired:
-        # A longer budget would not be honored either: respect max_terms.
-        raise NonConvergence(
-            "Mittag-Leffler series did not satisfy the stopping rule within "
-            f"max_terms={ctrl.max_terms}"
-        )
-    # Cancellation or double-range overflow: size the retry from a log scan.
-    logs, signs = _log_abs_terms(beta, gamma_, delta, z, min(ctrl.max_terms, 200_000))
-    log_peak = float(np.max(logs))
-    if z > 0.0 and delta > 0.0 and log_peak > 709.0:
-        # all terms positive: the sum genuinely overflows double range
+    ks = np.arange(min(budget, _SCAN_TERMS), dtype=float)
+    log_peak = -math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for f in build():
+            logs = np.log(abs(float(f.c))) + ks * np.log(abs(float(f.x))) \
+                + _log_abs_rgamma(float(f.g0) + float(f.s) * ks)
+            for sign, bases in ((1.0, f.nums), (-1.0, f.dens)):
+                for a in bases:
+                    logs[1:] += sign * np.cumsum(
+                        np.log(np.abs(float(a) + ks[:-1])))
+            finite = logs[np.isfinite(logs)]
+            if finite.size:
+                log_peak = max(log_peak, float(np.max(finite)))
+    if positive and log_peak > _LOG_MAX:
         return math.inf
-    return _sum_mp(beta, gamma_, delta, z, ctrl, log_peak / math.log(10.0))
+    dps = min(_MAX_DPS, 30 + int(max(log_peak, 0.0) / math.log(10.0)))
+    for _ in range(_MP_PASSES):
+        with mp.workdps(dps):
+            cut = mp.mpf(10) ** (8 - dps)
+            stop = mp.mpf(10) ** (15 - dps) if tol is None else mp.mpf(tol)
+            total = peak = mp.mpf(0)
+            for f in build():
+                part = mp.mpf(0)
+                p = f.c
+                small = 0
+                for k in range(budget):
+                    term = p * mp.rgamma(f.g0 + f.s * k)
+                    part += term
+                    at = abs(term)
+                    if at > peak:
+                        peak = at
+                    if at <= stop * max(abs(part), peak * cut):
+                        small += 1
+                        if small >= count:
+                            break
+                    else:
+                        small = 0
+                    ratio = f.x
+                    for a in f.nums:
+                        ratio *= a + k
+                    for b in f.dens:
+                        ratio /= b + k
+                    p *= ratio
+                else:
+                    raise NonConvergence(
+                        "series did not satisfy its stopping rule within "
+                        f"{budget} terms in extended precision")
+                total += part
+            noise = peak * mp.mpf(10) ** -dps
+            if noise <= _MP_CERT * max(abs(total), _MP_FLOOR):
+                return float(total)
+            scale = abs(total) if abs(total) > 1000 * noise else _MP_FLOOR
+            needed = 30 + int(mp.log10(peak / scale))
+        if dps >= _MAX_DPS:
+            break
+        dps = min(_MAX_DPS, max(needed, 2 * dps))
+    raise NonConvergence(
+        "cancellation exceeds the supported extended-precision budget")
+
+
+def _ml_table(beta, gamma_, delta, n):
+    """``(coeffs, cut)``: the series coefficients
+    ``(delta)_tau rgamma(beta tau + gamma_) / tau!`` for ``tau < n``, cut
+    before the first one double precision cannot hold (a Pochhammer
+    factor past the double range or a reciprocal gamma underflowed to
+    zero); ``cut`` says whether that happened."""
+    poch, recips, _ = _ml_factors(beta, gamma_, delta, n)
+    with np.errstate(invalid="ignore"):
+        coeffs = poch * recips
+    bad = ~np.isfinite(coeffs) | ((recips == 0.0) & (poch != 0.0))
+    if np.any(bad):
+        return coeffs[:int(np.argmax(bad))], True
+    return coeffs, False
 
 
 def ml_prabhakar(p: MLParams, controls: SeriesControls | None = None) -> float:
@@ -367,8 +338,7 @@ def ml_prabhakar(p: MLParams, controls: SeriesControls | None = None) -> float:
         If ``|z|`` exceeds the series radius or the stopping rule does not
         fire within ``controls.max_terms`` terms.
     """
-    ctrl = controls if controls is not None else SeriesControls()
-    return _ml_value(p.beta, p.gamma_, p.delta, p.z, ctrl)
+    return float(_ml_values(p.beta, p.gamma_, p.delta, p.z, controls))
 
 
 def ml_two(alpha: float, beta_: float, z: float,
@@ -384,56 +354,89 @@ def ml_one(nu: float, z: float, controls: SeriesControls | None = None) -> float
 
 
 def _ml_values(beta, gamma_, delta, zs, ctrl=None, guard_rel=_GUARD_REL):
-    """Vectorized series evaluation over an array of arguments.
+    """Three-parameter Mittag-Leffler values over an array of arguments.
 
-    Shares one coefficient table across all entries, tracks the per-entry
-    rounding-noise estimate, and re-runs any entry whose estimate exceeds
-    ``guard_rel`` through the scalar (extended-precision capable) path.
+    The one double-precision pass: every entry shares one coefficient
+    table and one compensated (Kahan) summation, but keeps its own sum and
+    absolute mass from the term where its own stopping rule fired, so a
+    value never depends on the other arguments of its batch.  An entry
+    goes to extended precision when its rounding-noise estimate
+    ``_GUARD_FACTOR eps mass`` exceeds ``guard_rel`` of its value, when
+    its sum leaves double range, or when it is still summing at a
+    coefficient double precision cannot hold.  An entry whose rule has not
+    fired within ``ctrl.max_terms`` terms raises ``NonConvergence``.
     Quadrature-kernel callers relax ``guard_rel`` to ~1e-10: their overall
     error budget is dominated by the quadrature rule, and the relaxation
-    keeps moderately cancelling arguments on the fast vector path.
+    keeps moderately cancelling arguments in double precision.
     """
     ctrl = ctrl if ctrl is not None else SeriesControls()
     zs = np.asarray(zs, dtype=float)
     out_shape = zs.shape
     zs = zs.ravel()
-    if zs.size == 0:
-        return zs.reshape(out_shape)
-    if np.max(np.abs(zs)) > SERIES_RADIUS:
-        raise NonConvergence("argument outside the supported series radius")
-    n_cap = min(ctrl.max_terms, 4000)
-    coeffs = _ml_coefficients(beta, gamma_, delta, n_cap, float(np.max(np.abs(zs))))
-    if coeffs is None:
-        out = np.array([_ml_value(beta, gamma_, delta, z, ctrl) for z in zs])
-        return out.reshape(out_shape)
+    if zs.size and np.max(np.abs(zs)) > SERIES_RADIUS:
+        raise NonConvergence(
+            f"|z| = {np.max(np.abs(zs)):g} lies outside the supported "
+            f"series radius {SERIES_RADIUS:g}")
     total = np.zeros_like(zs)
     comp = np.zeros_like(zs)
     absum = np.zeros_like(zs)
-    small = np.zeros(zs.shape, dtype=int)
     zpow = np.ones_like(zs)
-    done = False
+    small = np.zeros(zs.shape, dtype=int)
+    value = np.zeros_like(zs)
+    mass = np.zeros_like(zs)
+    fired = np.zeros(zs.shape, dtype=bool)
+    live = zs.size
+    n, size, cut = 0, 64, False
     with np.errstate(over="ignore", invalid="ignore"):
-        for tau in range(n_cap):
-            term = coeffs[tau] * zpow
-            zpow = zpow * zs
-            at = np.abs(term)
-            absum += at
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            thr = ctrl.abs_tol * np.maximum.reduce(
-                [np.abs(total), _EPS * absum, np.full_like(absum, 1e-290)]
-            )
-            small = np.where(at <= thr, small + 1, 0)
-            if tau >= 2 and int(np.min(small)) >= ctrl.consecutive_small:
-                done = True
+        while live and n < ctrl.max_terms and not cut:
+            coeffs, cut = _ml_table(beta, gamma_, delta,
+                                    min(size, ctrl.max_terms))
+            for c in coeffs[n:]:
+                term = c * zpow
+                zpow *= zs
+                at = np.abs(term)
+                absum += at
+                y = term - comp
+                t = total + y
+                comp = (t - total) - y
+                total = t
+                # the literal rule compares against the partial sum alone;
+                # the floor terms keep it meaningful at zeros of the function
+                thr = ctrl.abs_tol * np.maximum(
+                    np.maximum(np.abs(total), _EPS * absum), 1e-290)
+                small = np.where(at <= thr, small + 1, 0)
+                fire = small == ctrl.consecutive_small
+                if fire.any():
+                    value[fire] = total[fire]
+                    mass[fire] = absum[fire]
+                    fired |= fire
+                    # only zeros follow, so the rule cannot fire again
+                    # where later terms grow back past it
+                    zpow[fire] = 0.0
+                    live -= int(np.count_nonzero(fire))
+                    if not live:
+                        break
+            n = len(coeffs)
+            size *= 4
+            # live sums that all left double range go to extended precision
+            if live and not np.any(np.isfinite(total[~fired])):
                 break
-    bad = ~np.isfinite(total)
-    bad |= _GUARD_FACTOR * _EPS * absum > guard_rel * np.abs(total)
-    if not done:
-        bad |= small < ctrl.consecutive_small
-    if np.any(bad):
-        for i in np.nonzero(bad)[0]:
-            total[i] = _ml_value(beta, gamma_, delta, zs[i], ctrl)
-    return total.reshape(out_shape)
+    rescue = ~np.isfinite(value) \
+        | (_GUARD_FACTOR * _EPS * mass > guard_rel * np.abs(value))
+    if live:
+        if not cut and np.any(~fired & np.isfinite(total)):
+            raise NonConvergence(
+                "Mittag-Leffler series did not satisfy the stopping rule "
+                f"within max_terms={ctrl.max_terms}")
+        rescue |= ~fired
+    for i in np.nonzero(rescue)[0]:
+        z = float(zs[i])
+
+        def build(z=z):
+            return [_Family(1, mp.mpf(z), (mp.mpf(delta),), (1,),
+                            mp.mpf(gamma_), mp.mpf(beta))]
+
+        value[i] = _sum_extended(build, ctrl.abs_tol, ctrl.consecutive_small,
+                                 ctrl.max_terms,
+                                 positive=z > 0.0 and delta > 0.0)
+    return value.reshape(out_shape)

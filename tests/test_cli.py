@@ -222,7 +222,12 @@ def test_render_csv_uses_repr_and_lf():
     # stable density in the tail, where the series fails its guard
     {"schema_version": 1, "mode": "levy", "problem": {"rho": 0.75},
      "time_grid": {"start": 0.08, "stop": 0.2, "count": 5}},
-], ids=["specfun-rescue", "levy-tail"])
+    # bulk diffusion at alpha = 0.9, where the residue families cancel
+    # past their guard and are re-summed in extended precision
+    {"schema_version": 1, "mode": "diffusion",
+     "problem": {"alpha": 0.9, "diff_coeff": 1.0, "dim": 1},
+     "space_grid": {"start": 0.5, "stop": 7.5, "count": 15}, "time": 1.0},
+], ids=["specfun-rescue", "levy-tail", "diffusion-bulk"])
 def test_rescue_tables_repeat_bytes(payload):
     config = parse_config(payload)
     first = render_csv(*execute(config))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fkin.errors import DomainError, ResourceError
+from fkin.errors import DomainError, NonConvergence, ResourceError
 from fkin.kinetics import (KineticProblem, MLForcing, PowerLaw, Sampled,
                            TruncationPolicy, Unit, _quadrature_expansion,
                            binomial_problem, enumerate_compositions,
@@ -135,6 +135,16 @@ class TestRouteAgreement:
     def test_geometric_three_levels(self):
         p = geometric_problem(1, 3, 0.4, 0.6, Unit())
         assert max_rel(solve_geometric(p, TS), solve_multiterm(p, TS)) < 1e-8
+
+    def test_geometric_cancellation_is_caught(self):
+        # the telescoped form's two terms cancel by 7.4e5 at t = 20 and by
+        # 2.7e7 at t = 40, which leaves their sum 1e-8 off there
+        p = geometric_problem(1, 3, 0.4, 0.6, Unit())
+        for t in (20.0, 40.0):
+            with pytest.raises(NonConvergence):
+                solve_geometric(p, np.array([t]))
+        got = solve_geometric(p, np.array([5.0]))
+        assert max_rel(got, solve_multiterm(p, np.array([5.0]))) < 1e-8
 
     def test_arithmetic_vs_multiterm(self):
         p = KineticProblem(2, (0.5, 1.0), (1.0, 0.3), Unit())

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from fkin.errors import DomainError, NonConvergence
-from fkin.specfun import (MLParams, SeriesControls, gamma_recip, ml_one,
-                          ml_prabhakar, ml_two, pochhammer)
+from fkin.specfun import (MLParams, SeriesControls, _ml_values, gamma_recip,
+                          ml_one, ml_prabhakar, ml_two, pochhammer)
 
 # reference constants frozen from extended-precision series runs
 # (explicit term loops, 60+ digits, termination on 4 consecutive
@@ -118,6 +118,9 @@ class TestOneParameterValues:
     def test_classical_exponentials(self):
         assert rel(ml_one(1.0, -1.0), 1.0 / math.e) < 1e-14
         assert rel(ml_one(1.0, 0.35), math.exp(0.35)) < 1e-14
+        # tiny values whose series cancels by 40 digits and more
+        for x in (40.0, 45.0, 50.0):
+            assert rel(ml_one(1.0, -x), math.exp(-x)) < 1e-13
 
     def test_cosine_point(self):
         assert rel(ml_one(2.0, -4.0), math.cos(2.0)) < 1e-13
@@ -129,6 +132,29 @@ class TestOneParameterValues:
     def test_value_at_origin_is_one(self):
         for nu in (0.25, 0.5, 1.0, 1.7, 2.0):
             assert ml_one(nu, 0.0) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_batch_does_not_change_values():
+    # each entry of a batch stops at its own term, so it is the value a
+    # one-element call gives, whatever else shares the batch
+    zs = np.array([-6.0, -4.0, -2.0, -1.0, -0.5, 0.25, 0.5, 1.0, 1.5, 2.0])
+    for beta in (0.5, 0.8, 1.0, 1.5):
+        for gamma_ in (0.5, 1.0, 1.5, 2.0, 3.0):
+            for delta in (0.5, 1.0, 1.5, 2.0, 3.0):
+                got = _ml_values(beta, gamma_, delta, zs)
+                for z, v in zip(zs, got):
+                    one = ml_prabhakar(MLParams(beta, gamma_, delta, z))
+                    assert float(v) == one, (beta, gamma_, delta, z)
+    # delta = 1e-15 fires the rule on the first terms, and later terms grow
+    # back past it and decay again while the batch still runs: a fired
+    # entry must keep the value it fired with
+    budget = SeriesControls(max_terms=4000)
+    zs = np.linspace(1.0, 1.6, 13)
+    for beta in (0.1, 0.2):
+        got = _ml_values(beta, 1.0, 1e-15, zs, budget)
+        for z, v in zip(zs, got):
+            one = ml_prabhakar(MLParams(beta, 1.0, 1e-15, z), budget)
+            assert float(v) == one, (beta, z)
 
 
 def test_reduction_chain():
