@@ -178,9 +178,12 @@ def series_n3(alpha, A):
 def asymptotic_n2(alpha, x, t):
     """Small-x logarithmic form of the planar solution (unit diffusivity).
 
-    ``ln(t^(alpha/2)/x) / (pi Gamma(1-alpha) t^alpha)`` for
-    ``0 < x <= t^(alpha/2)``; the boundary gives exactly 0.  This is the
-    leading behavior only, not a convergent series.
+    ``ln(t^(alpha/2)/x) / (2 pi Gamma(1-alpha) t^alpha)`` for
+    ``0 < x <= t^(alpha/2)``; the boundary gives exactly 0.  The log
+    coefficient is the planar heat kernel ``1/(4 pi tau)`` integrated
+    against the subordinator density ``t^-alpha / Gamma(1-alpha)`` at
+    ``tau = 0``.  This is the leading behavior only, not a convergent
+    series, and the constant beside the logarithm is not the solution's.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError("the logarithmic form needs alpha in (0, 1)")
@@ -191,7 +194,8 @@ def asymptotic_n2(alpha, x, t):
     half = t ** (alpha / 2.0)
     if x > half:
         raise DomainError("x beyond the diffusion length: asymptote invalid")
-    return math.log(half / x) * gamma_recip(1.0 - alpha) / (math.pi * t ** alpha)
+    return (math.log(half / x) * gamma_recip(1.0 - alpha)
+            / (2.0 * math.pi * t ** alpha))
 
 
 def _two_sum(alpha, n_dim, B):
@@ -380,7 +384,8 @@ def fundamental_solution(p: DiffusionProblem, x, t):
     ``NonConvergence``, as does ``B`` beyond ``_MAX_A/4``.  The explicit
     one- and three-dimensional sums serve as independent cross-checks in
     the test suite.  Dimension 2 has no convergent series of this form
-    and delegates to the small-x logarithmic asymptote.
+    and raises ``NotSupported``; :func:`asymptotic_n2` gives its leading
+    logarithmic term near the origin.
     """
     if t <= 0.0:
         raise DomainError("t must be positive")
@@ -388,9 +393,8 @@ def fundamental_solution(p: DiffusionProblem, x, t):
         raise DomainError("x is a radius and must be nonnegative")
     d = p.diff_coeff
     if p.dim == 2:
-        if p.alpha >= 1.0:
-            raise NotSupported("no planar route at the classical limit")
-        return asymptotic_n2(p.alpha, x / math.sqrt(d), t) / d
+        raise NotSupported("no certified planar route; asymptotic_n2 gives "
+                           "the leading term near the origin")
     if x == 0.0:
         if p.dim == 3:
             raise DomainError("the three-dimensional density diverges at x=0")

@@ -3,10 +3,14 @@
 The central tool is product integration: on each cell of a (possibly
 graded) mesh the smooth part of the integrand is replaced by its linear
 interpolant while the power kernel ``(t-u)^p`` is integrated exactly.
-Kernels carrying a Mittag-Leffler modulator are handled term by term, so
-the whole kernel, not just its leading power, is integrated exactly.
-Uniform-grid variants reduce to discrete convolutions and are evaluated
-with FFTs.
+Kernels carrying a Mittag-Leffler modulator are integrated exactly too, by
+one rule for both meshes: ``_folded_lr`` folds the modulator series into
+the cell weights term by term, and raises ``NonConvergence`` when its
+stopping rule does not fire within the series budget or the coefficient
+table.  Uniform-grid variants reduce to discrete convolutions and are
+evaluated with FFTs.  Nothing here guards against cancellation: a
+convolution whose weights are large against its value keeps only the
+digits the difference leaves.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NonConvergence
-from .specfun import SeriesControls, _ml_coefficients, _ml_values, gamma_recip
+from .specfun import SeriesControls, _ml_table, _ml_values, gamma_recip
 
 __all__ = [
     "ConvolutionControls",
@@ -32,9 +36,6 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-
-# Guard for ML values used inside quadrature weights; see _ml_values.
-_KERNEL_GUARD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,7 @@ class MLModulator:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         return _ml_values(self.beta, self.gamma_, self.delta,
-                          self.coef * x ** self.beta,
-                          guard_rel=_KERNEL_GUARD)
+                          self.coef * x ** self.beta)
 
 
 @dataclass(frozen=True)
@@ -201,56 +201,44 @@ def _lr_weights(a, b, q):
     return wl, wr
 
 
-def _cell_weights(nodes, t, power):
-    """Node weights for the product-trapezoid rule against ``(t-u)^power``."""
-    x = t - nodes
-    wl, wr = _lr_weights(x[1:], x[:-1], power)
-    w = np.zeros_like(nodes)
-    w[:-1] += wl
-    w[1:] += wr
-    return w
+def _folded_lr(lo, hi, power, mod, series):
+    """:func:`_lr_weights` of cells ``lo < hi`` against the kernel
+    ``x^power E^delta_{beta, gamma_}(coef x^beta)`` of an
+    :class:`MLModulator` (``x^power`` alone for None).
 
-
-def _folded_weights(nodes, t, power, mod: MLModulator, series: SeriesControls):
-    """Node weights against ``(t-u)^power E^delta(coef (t-u)^beta)``.
-
-    Folds the modulator series into the power moments so the entire kernel
-    is integrated exactly.  Returns None when the coefficient table is not
-    representable in doubles; callers then sample the modulator instead.
+    Folds the modulator series into the power moments term by term, so the
+    entire kernel is integrated exactly.  Stops once ``consecutive_small``
+    successive terms add under 1e-17 of the weight mass; raises
+    ``NonConvergence`` when the terms leave double range, or when
+    ``series.max_terms`` terms or the coefficients double precision can
+    hold run out first.
     """
-    z_eff = abs(mod.coef) * t ** mod.beta
-    n_cap = min(series.max_terms, 4000)
-    coeffs = _ml_coefficients(mod.beta, mod.gamma_, mod.delta, n_cap, z_eff)
-    if coeffs is None:
-        return None
-    x = t - nodes
-    xa = x[1:]
-    xb_ = x[:-1]
-    w = np.zeros_like(nodes)
-    cpow = 1.0
+    if mod is None:
+        return _lr_weights(lo, hi, power)
+    coeffs, _ = _ml_table(mod.beta, mod.gamma_, mod.delta, series.max_terms)
+    wl = np.zeros_like(lo)
+    wr = np.zeros_like(lo)
     small = 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for tau in range(n_cap):
-            wl, wr = _lr_weights(xa, xb_, power + mod.beta * tau)
-            c = coeffs[tau] * cpow
-            wl = c * wl
-            wr = c * wr
-            if not (np.all(np.isfinite(wl)) and np.all(np.isfinite(wr))):
-                return None
-            w[:-1] += wl
-            w[1:] += wr
-            added = np.sum(np.abs(wl)) + np.sum(np.abs(wr))
-            scale = max(float(np.sum(np.abs(w))), 1e-290)
-            if added <= 1e-17 * scale:
-                small += 1
-                if small >= series.consecutive_small:
-                    return w
-            else:
-                small = 0
-            cpow *= mod.coef
+    cpow = 1.0
+    for tau, coeff in enumerate(coeffs):
+        at, bt = _lr_weights(lo, hi, power + mod.beta * tau)
+        c = coeff * cpow
+        wl += c * at
+        wr += c * bt
+        added = abs(c) * (np.sum(np.abs(at)) + np.sum(np.abs(bt)))
+        if not math.isfinite(added):
+            break
+        scale = max(float(np.sum(np.abs(wl)) + np.sum(np.abs(wr))), 1e-290)
+        if added <= 1e-17 * scale:
+            small += 1
+            if small >= series.consecutive_small:
+                return wl, wr
+        else:
+            small = 0
+        cpow *= mod.coef
     raise NonConvergence(
-        "modulated kernel weights did not converge within the series budget"
-    )
+        "modulated kernel weights did not converge within the series "
+        "budget in double precision")
 
 
 def singular_convolution(f, t, power, modulator=None, controls=None,
@@ -258,8 +246,9 @@ def singular_convolution(f, t, power, modulator=None, controls=None,
     """``integral_0^t f(u) (t-u)^power modulator(t-u) du``.
 
     ``power`` must exceed -1.  ``modulator`` may be None, an
-    :class:`MLModulator` (integrated exactly), or any callable of the lag
-    that is smooth at zero (sampled at the nodes).  ``n_cells`` overrides
+    :class:`MLModulator` (integrated exactly; ``NonConvergence`` when its
+    series cannot be folded), or any callable of the lag that is smooth at
+    zero (sampled at the nodes).  ``n_cells`` overrides
     the automatic cell count; derivative stencils rely on that to keep one
     fixed mesh family across neighboring evaluation points.
     """
@@ -271,17 +260,18 @@ def singular_convolution(f, t, power, modulator=None, controls=None,
         return 0.0
     c = controls if controls is not None else ConvolutionControls()
     m_cells = n_cells if n_cells is not None else _cells_for(t, c)
+    folded = modulator if isinstance(modulator, MLModulator) else None
 
     def level(m):
         nodes = _graded_nodes(t, m, c.grading)
         fs = _eval_on(f, nodes)
-        if isinstance(modulator, MLModulator):
-            w = _folded_weights(nodes, t, power, modulator, c.series)
-            if w is not None:
-                return float(w @ fs)
-        w = _cell_weights(nodes, t, power)
-        if modulator is not None:
-            fs = fs * np.asarray(modulator(t - nodes), dtype=float)
+        x = t - nodes
+        wl, wr = _folded_lr(x[1:], x[:-1], power, folded, c.series)
+        if modulator is not None and folded is None:
+            fs = fs * np.asarray(modulator(x), dtype=float)
+        w = np.zeros_like(nodes)
+        w[:-1] += wl
+        w[1:] += wr
         return float(w @ fs)
 
     if c.richardson:
@@ -298,62 +288,14 @@ def rl_integral(f, t, nu, controls=None, n_cells=None):
                                                   n_cells=n_cells)
 
 
-def _uniform_ab(n, dt, power, modulator, series):
-    """Left/right product weights by lag on a uniform grid.
-
-    Returns ``(a, b)`` with ``a[m], b[m]`` the weights multiplying the
-    samples at distances ``m`` and ``m-1`` cells from the target time.
-    """
-
-    def moments(q):
-        m = np.arange(n + 2, dtype=float)
-        bb = m * dt
-        aa = np.maximum(m - 1.0, 0.0) * dt
-        a, b = _lr_weights(aa, bb, q)
-        a[0] = 0.0
-        b[0] = 0.0
-        return a, b
-
-    if modulator is None:
-        return moments(power)
-    z_eff = abs(modulator.coef) * (n * dt) ** modulator.beta
-    n_cap = min(series.max_terms, 4000)
-    coeffs = _ml_coefficients(modulator.beta, modulator.gamma_,
-                              modulator.delta, n_cap, z_eff)
-    if coeffs is None:
-        raise NonConvergence(
-            "modulated uniform weights are outside double range; "
-            "use the adaptive evaluator instead"
-        )
-    a = np.zeros(n + 2)
-    b = np.zeros(n + 2)
-    small = 0
-    cpow = 1.0
-    for tau in range(n_cap):
-        at, bt = moments(power + modulator.beta * tau)
-        c = coeffs[tau] * cpow
-        a += c * at
-        b += c * bt
-        added = abs(c) * (np.sum(np.abs(at)) + np.sum(np.abs(bt)))
-        scale = max(float(np.sum(np.abs(a)) + np.sum(np.abs(b))), 1e-290)
-        if added <= 1e-17 * scale:
-            small += 1
-            if small >= series.consecutive_small:
-                return a, b
-        else:
-            small = 0
-        cpow *= modulator.coef
-    raise NonConvergence(
-        "modulated kernel weights did not converge within the series budget"
-    )
-
-
 def singular_convolution_grid(fs, dt, power, modulator=None, series=None):
     """Values of the singular convolution at every node of a uniform grid.
 
     ``fs`` are samples at ``0, dt, 2 dt, ...``; the result has the same
-    length with an exact zero first entry.  The product rule turns into a
-    pair of discrete convolutions, evaluated by FFT.
+    length with an exact zero first entry.  ``modulator`` may be None or
+    an :class:`MLModulator`.  The product rule turns into a pair of
+    discrete convolutions, evaluated by FFT: ``a[m], b[m]`` weight the
+    samples ``m`` and ``m - 1`` cells before the target time.
     """
     # imported here, its only use: scipy.signal costs half a second to load
     import scipy.signal as _sig
@@ -365,7 +307,9 @@ def singular_convolution_grid(fs, dt, power, modulator=None, series=None):
     if n < 1:
         return np.zeros_like(fs)
     series = series if series is not None else SeriesControls()
-    a, b = _uniform_ab(n, dt, power, modulator, series)
+    m = np.arange(1.0, n + 2.0)
+    a, b = (np.concatenate(([0.0], w)) for w in
+            _folded_lr((m - 1.0) * dt, m * dt, power, modulator, series))
     s1 = _sig.fftconvolve(fs, a[: n + 1])[: n + 1]
     e = b[1: n + 2]
     s2 = _sig.fftconvolve(fs, e)[: n + 1] - fs[0] * e[: n + 1]

@@ -340,29 +340,38 @@ def _closed(problem, ts, plan, controls=None, truncation=None):
     return _sum_levels(problem, ts, plan.levels, level_sum, truncation)
 
 
-def _quadrature_expansion(problem, ts, controls=None, truncation=None):
+def _quadrature_expansion(problem, ts, controls=None, truncation=None,
+                          grid=False):
     """The resolvent expansion with every term a singular convolution of
-    the forcing: the one route for forcings without a Prabhakar image."""
+    the forcing: the one route for forcings without a Prabhakar image.
+
+    Level 0 is ``f - a1 conv(nu1, 1)`` and level ``l`` sums
+    ``coef conv(gamma_r, l + 1)`` over its groups, where ``conv(g, d)``
+    convolves the forcing with ``x^(g-1) E^d_{nu1,g}(-a1 x^nu1)``.
+    Pointwise, each convolution is a graded-mesh quadrature at each time;
+    with ``grid`` the times are a uniform grid from 0 and each convolution
+    is one FFT over all of them.
+    """
     controls = controls if controls is not None else ConvolutionControls()
     ts = _times(ts)
     nu1 = problem.nus[0]
     a1 = problem.rates[0]
     f = problem.forcing.value
+    fs = np.asarray(f(ts), dtype=float)
 
-    def conv(t, gamma_, delta):
+    def conv(pos, gamma_, delta):
         mod = MLModulator(beta=nu1, gamma_=gamma_, delta=delta, coef=-a1)
-        return singular_convolution(f, t, gamma_ - 1.0, mod, controls)
-
-    def at(t, level, groups):
-        if level > 0:
-            return sum(coef * conv(t, gamma_r, level + 1.0)
-                       for gamma_r, coef in groups)
-        f_t = float(f(np.asarray(t, float)))
-        return f_t - a1 * conv(t, nu1, 1.0) if t > 0.0 else f_t
+        if grid:
+            return singular_convolution_grid(fs, ts[1], gamma_ - 1.0, mod,
+                                             controls.series)[pos]
+        return np.array([singular_convolution(f, t, gamma_ - 1.0, mod,
+                                              controls) for t in ts[pos]])
 
     def level_sum(pos, level, groups):
-        return problem.n0 * np.array([at(t, level, groups)
-                                      for t in ts[pos]])
+        if level == 0:
+            return problem.n0 * (fs[pos] - a1 * conv(pos, nu1, 1.0))
+        return problem.n0 * sum(coef * conv(pos, gamma_r, level + 1.0)
+                                for gamma_r, coef in groups)
 
     return _sum_levels(problem, ts, len(problem.nus) > 1, level_sum,
                        truncation)
@@ -412,48 +421,19 @@ def solve_multiterm_grid(problem: KineticProblem, t_end, controls=None,
     """Uniform-grid variant of :func:`solve_multiterm`.
 
     Returns ``(ts, values)`` on the grid implied by
-    ``controls.points_per_unit``; convolutions are evaluated by FFT, so
-    whole-trajectory output is much cheaper than the pointwise route.
+    ``controls.points_per_unit``.  This is the quadrature expansion with
+    every convolution evaluated by FFT over the whole grid, so
+    whole-trajectory output is much cheaper than the pointwise route; as
+    there, each grid time stops adding levels on its own once two in a
+    row move it by under ``truncation.rel_tol``.
     """
     controls = controls if controls is not None else ConvolutionControls()
-    policy = truncation if truncation is not None else TruncationPolicy()
     if t_end <= 0.0:
         raise DomainError("t_end must be positive")
-    n = max(controls.min_points,
-            int(math.ceil(controls.points_per_unit * t_end)))
-    dt = t_end / n
-    ts = dt * np.arange(n + 1)
-    fs = np.asarray(problem.forcing.value(ts), dtype=float)
-    nu1 = problem.nus[0]
-    a1 = problem.rates[0]
-    vals = fs - a1 * singular_convolution_grid(
-        fs, dt, nu1 - 1.0,
-        MLModulator(beta=nu1, gamma_=nu1, delta=1.0, coef=-a1),
-        controls.series)
-    if len(problem.nus) > 1:
-        scale = float(np.max(np.abs(vals)))
-        small = 0
-        for level in range(1, policy.l_max + 1):
-            sign = -1.0 if level % 2 else 1.0
-            contrib = np.zeros_like(vals)
-            for gamma_r, coef in _level_groups(problem, level, policy):
-                mod = MLModulator(beta=nu1, gamma_=gamma_r,
-                                  delta=float(level + 1), coef=-a1)
-                contrib += coef * singular_convolution_grid(
-                    fs, dt, gamma_r - 1.0, mod, controls.series)
-            vals += sign * contrib
-            scale = max(scale, float(np.max(np.abs(vals))))
-            if float(np.max(np.abs(contrib))) <= policy.rel_tol * scale:
-                small += 1
-                if small >= 2:
-                    break
-            else:
-                small = 0
-        else:
-            raise NonConvergence(
-                f"resolvent expansion still moving after {policy.l_max} levels"
-            )
-    return ts, problem.n0 * vals
+    n = _cells_for(t_end, controls)
+    ts = t_end / n * np.arange(n + 1)
+    return ts, _quadrature_expansion(problem, ts, controls, truncation,
+                                     grid=True)
 
 
 def _arithmetic_step(problem):

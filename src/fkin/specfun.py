@@ -148,50 +148,6 @@ def pochhammer(delta, tau):
     return out
 
 
-def _ml_factors(beta, gamma_, delta, n):
-    """``(poch, recips, args)`` of the series terms ``tau < n``:
-    ``(delta)_tau / tau!`` as a cumulative product of the exact ratios
-    ``(delta+tau)/(tau+1)``, so small-integer cases stay exact to rounding,
-    and ``rgamma(args)`` at ``args = beta*tau + gamma_``."""
-    taus = np.arange(n, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        poch = np.concatenate(
-            ([1.0], np.cumprod((delta + taus[:-1]) / (taus[:-1] + 1.0))))
-    args = beta * taus + gamma_
-    return poch, _sc.rgamma(args), args
-
-
-def _ml_coefficients(beta, gamma_, delta, n, abs_z=1.0):
-    """Series coefficients ``(delta)_tau rgamma(beta*tau+gamma_) / tau!``.
-
-    The table of the convolution weights in :mod:`fkin.fracops`.  Returns
-    None if the Pochhammer factor overflows double precision or the
-    reciprocal-gamma factor underflows to zero while the term
-    ``coefficient * z^tau`` could still be above the subnormal floor;
-    callers then take another route.
-    """
-    poch, recips, args = _ml_factors(beta, gamma_, delta, n)
-    if not np.all(np.isfinite(poch)):
-        return None
-    # rgamma underflows to exact zero near arg ~ 178; a zeroed coefficient
-    # is harmless only when the term it would produce sits far below the
-    # peak term of the series (the stopping thresholds never reach more
-    # than ~31 decades under the peak, so 46 decades is safely dead).
-    uf = (recips == 0.0) & (poch != 0.0) & (args > 170.0)
-    if np.any(uf):
-        lz = math.log(abs_z) if abs_z > 0.0 else -math.inf
-        # 0 * -inf at the constant term is dropped by the finite filter
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logterm = (np.log(np.abs(poch)) - _sc.gammaln(args)
-                       + np.arange(n, dtype=float) * lz)
-        finite = logterm[~uf]
-        finite = finite[np.isfinite(finite)]
-        log_peak = float(np.max(finite)) if finite.size else -math.inf
-        if np.any(logterm[uf] > log_peak - 106.0):
-            return None
-    return poch * recips
-
-
 def _log_abs_rgamma(g):
     """log|1/Gamma(g)| elementwise; -inf at the poles.  Negative ``g`` is
     reflected through ``sin(pi (g - round(g)))``, which keeps digits that
@@ -307,9 +263,14 @@ def _ml_table(beta, gamma_, delta, n):
     ``(delta)_tau rgamma(beta tau + gamma_) / tau!`` for ``tau < n``, cut
     before the first one double precision cannot hold (a Pochhammer
     factor past the double range or a reciprocal gamma underflowed to
-    zero); ``cut`` says whether that happened."""
-    poch, recips, _ = _ml_factors(beta, gamma_, delta, n)
-    with np.errstate(invalid="ignore"):
+    zero); ``cut`` says whether that happened.  ``(delta)_tau / tau!`` is
+    the cumulative product of the exact ratios ``(delta+tau)/(tau+1)``,
+    so small-integer cases stay exact to rounding."""
+    taus = np.arange(n, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        poch = np.concatenate(
+            ([1.0], np.cumprod((delta + taus[:-1]) / (taus[:-1] + 1.0))))
+        recips = _sc.rgamma(beta * taus + gamma_)
         coeffs = poch * recips
     bad = ~np.isfinite(coeffs) | ((recips == 0.0) & (poch != 0.0))
     if np.any(bad):
@@ -353,21 +314,21 @@ def ml_one(nu: float, z: float, controls: SeriesControls | None = None) -> float
     return ml_two(nu, 1.0, z, controls)
 
 
-def _ml_values(beta, gamma_, delta, zs, ctrl=None, guard_rel=_GUARD_REL):
+def _ml_values(beta, gamma_, delta, zs, ctrl=None):
     """Three-parameter Mittag-Leffler values over an array of arguments.
 
     The one double-precision pass: every entry shares one coefficient
     table and one compensated (Kahan) summation, but keeps its own sum and
     absolute mass from the term where its own stopping rule fired, so a
-    value never depends on the other arguments of its batch.  An entry
-    goes to extended precision when its rounding-noise estimate
-    ``_GUARD_FACTOR eps mass`` exceeds ``guard_rel`` of its value, when
+    value never depends on the other arguments of its batch.  The rule
+    does not fire while the next term is no smaller than the last,
+    ``|c_(k+1) z| >= |c_k|``: small early terms of a series that grows
+    back later (a tiny ``delta``) certify nothing.  An entry goes to
+    extended precision when its rounding-noise estimate
+    ``_GUARD_FACTOR eps mass`` exceeds ``_GUARD_REL`` of its value, when
     its sum leaves double range, or when it is still summing at a
     coefficient double precision cannot hold.  An entry whose rule has not
     fired within ``ctrl.max_terms`` terms raises ``NonConvergence``.
-    Quadrature-kernel callers relax ``guard_rel`` to ~1e-10: their overall
-    error budget is dominated by the quadrature rule, and the relaxation
-    keeps moderately cancelling arguments in double precision.
     """
     ctrl = ctrl if ctrl is not None else SeriesControls()
     zs = np.asarray(zs, dtype=float)
@@ -389,9 +350,12 @@ def _ml_values(beta, gamma_, delta, zs, ctrl=None, guard_rel=_GUARD_REL):
     n, size, cut = 0, 64, False
     with np.errstate(over="ignore", invalid="ignore"):
         while live and n < ctrl.max_terms and not cut:
-            coeffs, cut = _ml_table(beta, gamma_, delta,
-                                    min(size, ctrl.max_terms))
-            for c in coeffs[n:]:
+            # one coefficient past the block, for the next-term check
+            m = min(size, ctrl.max_terms)
+            coeffs, _ = _ml_table(beta, gamma_, delta, m + 1)
+            cut = len(coeffs) < m
+            for k in range(n, min(m, len(coeffs))):
+                c = coeffs[k]
                 term = c * zpow
                 zpow *= zs
                 at = np.abs(term)
@@ -407,6 +371,12 @@ def _ml_values(beta, gamma_, delta, zs, ctrl=None, guard_rel=_GUARD_REL):
                 small = np.where(at <= thr, small + 1, 0)
                 fire = small == ctrl.consecutive_small
                 if fire.any():
+                    nxt = np.abs((coeffs[k + 1] if k + 1 < len(coeffs)
+                                  else math.inf) * zs)
+                    grows = fire & (nxt >= abs(c)) & (nxt > 0.0)
+                    # checked again at the next small term
+                    small[grows] -= 1
+                    fire &= ~grows
                     value[fire] = total[fire]
                     mass[fire] = absum[fire]
                     fired |= fire
@@ -416,13 +386,13 @@ def _ml_values(beta, gamma_, delta, zs, ctrl=None, guard_rel=_GUARD_REL):
                     live -= int(np.count_nonzero(fire))
                     if not live:
                         break
-            n = len(coeffs)
+            n = min(m, len(coeffs))
             size *= 4
             # live sums that all left double range go to extended precision
             if live and not np.any(np.isfinite(total[~fired])):
                 break
     rescue = ~np.isfinite(value) \
-        | (_GUARD_FACTOR * _EPS * mass > guard_rel * np.abs(value))
+        | (_GUARD_FACTOR * _EPS * mass > _GUARD_REL * np.abs(value))
     if live:
         if not cut and np.any(~fired & np.isfinite(total)):
             raise NonConvergence(

@@ -144,35 +144,50 @@ class TestThreeDimensions:
             fundamental_solution(DiffusionProblem(0.5, 1.0, 3), 0.0, 1.0)
 
 
+def _planar_projection(alpha, r, t):
+    """The planar solution as the projection of the 3-D one along an axis,
+    ``u2(r) = 2 integral_0^inf u3(sqrt(r^2 + z^2)) dz``; ``z = r sinh s``
+    takes the ``1/R`` singularity of ``u3`` out of the integrand."""
+    p3 = DiffusionProblem(alpha, 1.0, 3)
+
+    def integrand(s):
+        big_r = r * math.cosh(s)
+        return fundamental_solution(p3, big_r, t) * big_r
+
+    val, _ = si.quad(integrand, 0.0, math.acosh(24.0 / r), epsabs=0.0,
+                     epsrel=1e-13, limit=200)
+    return 2.0 * val
+
+
 class TestTwoDimensions:
+    # the projection's log slope at r = 1e-4 stands in for the planar
+    # coefficient; it agrees with 1/(2 pi Gamma(1-alpha) t^alpha) to 2e-8
+
     def test_logarithmic_value(self):
-        got = asymptotic_n2(0.5, 0.1, 1.0)
-        ref = math.log(10.0) / (math.pi * math.gamma(0.5))
-        assert rel(got, ref) < 1e-12
-        assert abs(got - 0.4135) < 5e-5
+        r = 1e-4
+        slope = (_planar_projection(0.5, r / 2.0, 1.0)
+                 - _planar_projection(0.5, r, 1.0)) / math.log(2.0)
+        assert rel(asymptotic_n2(0.5, 0.1, 1.0), math.log(10.0) * slope) < 1e-6
 
     def test_boundary_is_zero(self):
         for alpha, t in ((0.5, 1.0), (0.7, 2.0)):
             assert asymptotic_n2(alpha, t ** (alpha / 2.0), t) == 0.0
 
     def test_halving_step(self):
-        # halving x adds exactly ln 2 / (pi Gamma(1-alpha) t^alpha)
-        alpha, t = 0.6, 1.5
-        step = math.log(2.0) / (math.pi * math.gamma(1.0 - alpha) * t ** alpha)
-        for x in (0.2, 0.4):
-            diff = asymptotic_n2(alpha, x / 2.0, t) - asymptotic_n2(alpha, x, t)
-            assert rel(diff, step) < 1e-12
-
-    def test_solution_delegates(self):
-        p = DiffusionProblem(0.5, 2.0, 2)
-        x, t = 0.3, 1.0
-        got = fundamental_solution(p, x, t)
-        ref = asymptotic_n2(0.5, x / math.sqrt(2.0), t) / 2.0
-        assert got == ref
+        # halving r adds the same amount to the asymptote and to the
+        # projection of the three-dimensional solution
+        r = 1e-4
+        for alpha, t in ((0.3, 1.5), (0.7, 0.8)):
+            step = asymptotic_n2(alpha, r / 2.0, t) - asymptotic_n2(alpha, r, t)
+            ref = (_planar_projection(alpha, r / 2.0, t)
+                   - _planar_projection(alpha, r, t))
+            assert rel(step, ref) < 1e-6
 
     def test_classical_limit_unsupported(self):
-        with pytest.raises(NotSupported):
-            fundamental_solution(DiffusionProblem(1.0, 1.0, 2), 0.5, 1.0)
+        # no certified planar route at any order
+        for alpha in (0.5, 1.0):
+            with pytest.raises(NotSupported):
+                fundamental_solution(DiffusionProblem(alpha, 1.0, 2), 0.5, 1.0)
 
     def test_beyond_diffusion_length_rejected(self):
         with pytest.raises(DomainError):

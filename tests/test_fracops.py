@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
-from fkin.errors import DomainError
+from fkin.errors import DomainError, NonConvergence
 from fkin.fracops import (ConvolutionControls, MLModulator, SampledFunction,
                           ddt, laplace_of_interpolant, rl_integral,
                           rl_integral_grid, singular_convolution,
                           singular_convolution_grid)
-from fkin.specfun import MLParams, ml_prabhakar, ml_two
+from fkin.specfun import MLParams, SeriesControls, ml_prabhakar, ml_two
 
 
 def rel(got, ref):
@@ -159,6 +159,23 @@ class TestGridVariants:
         for k in (64, 256):
             ref = singular_convolution(lambda u: math.exp(-u), float(gs[k]), -0.5)
             assert rel(out[k], ref) < 1e-5
+
+
+@pytest.mark.parametrize("mod, series", [
+    (MLModulator(0.9, 0.7, 1.2, -0.8), SeriesControls(max_terms=2)),
+    # (1e30)_tau / tau! leaves the double range at tau = 11 while the
+    # terms still grow a hundredfold a step
+    (MLModulator(0.5, 1.0, 1e30, -1e-28), SeriesControls()),
+], ids=["budget", "cut-table"])
+def test_unfolded_kernel_raises_on_both_meshes(mod, series):
+    # the one fold behind both meshes raises where its rule cannot fire;
+    # nothing falls back to sampling the modulator
+    with pytest.raises(NonConvergence):
+        singular_convolution(lambda u: 1.0 + u, 1.0, -0.3, mod,
+                             ConvolutionControls(series=series))
+    with pytest.raises(NonConvergence):
+        singular_convolution_grid(1.0 + np.linspace(0.0, 1.0, 65), 1.0 / 64,
+                                  -0.3, mod, series)
 
 
 class TestDerivativeStencil:

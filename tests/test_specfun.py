@@ -227,6 +227,13 @@ def test_budget_exhaustion_names_the_control():
         ml_one(0.5, -40.0, SeriesControls(max_terms=20))
 
 
+def test_growing_terms_do_not_fire_the_rule():
+    # at delta = 1e-17 terms 1-3 fall under 1e-15 of the sum, but the
+    # series then grows to past 1e1019: no value may be certified there
+    with pytest.raises(NonConvergence, match="max_terms"):
+        ml_prabhakar(MLParams(0.1, 1.0, 1e-17, 3.0))
+
+
 @pytest.mark.parametrize("bad", [
     lambda: MLParams(0.0, 1.0, 1.0, 0.0),
     lambda: MLParams(-0.5, 1.0, 1.0, 0.0),
