@@ -5,7 +5,8 @@ graded) mesh the smooth part of the integrand is replaced by its linear
 interpolant while the power kernel ``(t-u)^p`` is integrated exactly.
 Kernels carrying a Mittag-Leffler modulator are integrated exactly too, by
 one rule for both meshes: ``_folded_lr`` folds the modulator series into
-the cell weights term by term, and raises ``NonConvergence`` when its
+the cell weights a block of terms at a time, each block one array of
+weights by exponent and cell, and raises ``NonConvergence`` when its
 stopping rule does not fire within the series budget or the coefficient
 table.  Uniform-grid variants reduce to discrete convolutions and are
 evaluated with FFTs.  Nothing here guards against cancellation: a
@@ -36,6 +37,13 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+# Terms of the binomial expansion of the cell weights, at most.
+_BINOMIAL_TERMS = 24
+# Modulator terms folded per _lr_weights call.  Larger blocks overshoot
+# the stopping term where the fold is compute-bound.
+_FOLD_BLOCK = 16
+_FOLD_FAILURE = ("modulated kernel weights did not converge within the "
+                 "series budget in double precision")
 
 
 @dataclass(frozen=True)
@@ -168,37 +176,90 @@ def _eval_on(f, nodes):
 
 def _lr_weights(a, b, q):
     """Per-cell product weights ``integral_A^B x^q (x-A) dx / h`` and
-    ``integral_A^B x^q (B-x) dx / h`` for cell arrays ``a < b``.
+    ``integral_A^B x^q (B-x) dx / h`` for cell arrays ``a < b``, one row
+    per exponent of ``q`` (a scalar or 1-D array).
 
     The closed forms difference nearby powers and lose ~(b/h)^2 eps of
     relative accuracy, so cells much smaller than their distance from the
-    singularity switch to a binomial expansion in h/a instead.
+    singularity take a binomial expansion in h/a instead, and only the
+    other cells form the powers.  The expansion stops per cell once no
+    later term can change its sums in double precision, after at most
+    ``_BINOMIAL_TERMS`` terms.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    q = np.reshape(np.asarray(q, dtype=float), (-1, 1))
     h = b - a
-    q1 = q + 1.0
-    q2 = q + 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m0 = (b ** q1 - a ** q1) / q1
-        m1 = (b ** q2 - a ** q2) / q2
-        wl = (m1 - a * m0) / h
-        wr = (b * m0 - m1) / h
+    wl = np.empty((q.shape[0], a.size))
+    wr = np.empty_like(wl)
     small = h < 0.02 * b
+    big = ~small
+    if np.any(big):
+        ab, bb, hb = a[big], b[big], h[big]
+        q1 = q + 1.0
+        q2 = q + 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m0 = (_powers(bb, q1) - _powers(ab, q1)) / q1
+            m1 = (_powers(bb, q2) - _powers(ab, q2)) / q2
+            wl[:, big] = (m1 - ab * m0) / hb
+            wr[:, big] = (bb * m0 - m1) / hb
     if np.any(small):
         asm = a[small]
         r = h[small] / asm
-        ck = np.ones_like(r)
-        sl = ck / 2.0
-        sr = ck / 2.0
-        for k in range(24):
-            ck = ck * ((q - k) / (k + 1.0)) * r
-            sl += ck / (k + 3.0)
-            sr += ck / ((k + 2.0) * (k + 3.0))
-        front = asm ** q * h[small]
-        wl[small] = front * sl
-        wr[small] = front * sr
+        sl, sr = _binomial_sums(q, r)
+        front = _powers(asm, q) * h[small]
+        wl[:, small] = front * sl
+        wr[:, small] = front * sr
     return wl, wr
+
+
+def _powers(x, q):
+    """``x ** q`` with one row per exponent of the column ``q``, each row
+    raised to a float exponent.  numpy's power over an array of exponents
+    may take a SIMD loop that rounds differently in the last bit, and it
+    skips the exact square-root and square paths of a float exponent."""
+    return np.array([x ** e for e in q.ravel().tolist()])
+
+
+def _binomial_sums(q, r):
+    """Sums ``sl = sum_k C(q, k) r^k / (k + 2)`` and ``sr = sum_k C(q, k)
+    r^k / ((k + 1)(k + 2))`` of :func:`_lr_weights`, one row per exponent
+    of the column ``q``, for the ratios ``r = h/a < 1/49`` of small cells.
+
+    Both sums are averages of ``(1 + r s)^q > 0.98`` (``q > -1``) against
+    weights of mass 1/2, so they exceed 1/4.  Past term ``k`` every ratio
+    of successive terms is at most ``R = max(|q - k - 1| / (k + 2), 1) r``.
+    Once ``R < 1`` and ``|c_k| R < eps/64``, each later term is under half
+    an ulp of the sum it is added to and cannot change it: the cell is
+    done.  Cells are taken in decreasing order of ``r``, and each term is
+    added only up to the last cell not yet done in some row.
+    """
+    order = np.argsort(-r, kind="stable")
+    r = r[order]
+    ck = np.ones((q.shape[0], r.size))
+    sl = ck / 2.0
+    sr = ck / 2.0
+    live = r.size
+    qlo, qhi = float(q.min()), float(q.max())
+    for k in range(_BINOMIAL_TERMS):
+        c = ck[:, :live] * ((q - k) / (k + 1.0)) * r[:live]
+        ck[:, :live] = c
+        sl[:, :live] += c / (k + 3.0)
+        sr[:, :live] += c / ((k + 2.0) * (k + 3.0))
+        # every later ratio of successive terms is at most bound * r
+        bound = max(abs(qlo - k - 1.0), abs(qhi - k - 1.0), k + 2.0) \
+            / (k + 2.0)
+        if bound * r[0] < 1.0:
+            undone = np.nonzero((np.abs(c) * r[:live]
+                                 >= _EPS / 64.0 / bound).any(axis=0))[0]
+            if not undone.size:
+                break
+            live = int(undone[-1]) + 1
+    out_l = np.empty_like(sl)
+    out_r = np.empty_like(sr)
+    out_l[:, order] = sl
+    out_r[:, order] = sr
+    return out_l, out_r
 
 
 def _folded_lr(lo, hi, power, mod, series):
@@ -206,39 +267,50 @@ def _folded_lr(lo, hi, power, mod, series):
     ``x^power E^delta_{beta, gamma_}(coef x^beta)`` of an
     :class:`MLModulator` (``x^power`` alone for None).
 
-    Folds the modulator series into the power moments term by term, so the
-    entire kernel is integrated exactly.  Stops once ``consecutive_small``
-    successive terms add under 1e-17 of the weight mass; raises
+    Folds the modulator series into the power moments, so the entire
+    kernel is integrated exactly, in blocks of ``_FOLD_BLOCK`` terms: one
+    :func:`_lr_weights` call per block, whose rows are accumulated into
+    the running weights with ``cumsum``, in the order a term-by-term loop
+    adds them.  Stops at the first term where ``consecutive_small``
+    successive terms have added under 1e-17 of the weight mass; raises
     ``NonConvergence`` when the terms leave double range, or when
     ``series.max_terms`` terms or the coefficients double precision can
     hold run out first.
     """
     if mod is None:
-        return _lr_weights(lo, hi, power)
+        wl, wr = _lr_weights(lo, hi, power)
+        return wl[0], wr[0]
     coeffs, _ = _ml_table(mod.beta, mod.gamma_, mod.delta, series.max_terms)
-    wl = np.zeros_like(lo)
-    wr = np.zeros_like(lo)
+    wl = np.zeros((1, lo.size))
+    wr = np.zeros((1, lo.size))
     small = 0
     cpow = 1.0
-    for tau, coeff in enumerate(coeffs):
-        at, bt = _lr_weights(lo, hi, power + mod.beta * tau)
-        c = coeff * cpow
-        wl += c * at
-        wr += c * bt
-        added = abs(c) * (np.sum(np.abs(at)) + np.sum(np.abs(bt)))
-        if not math.isfinite(added):
-            break
-        scale = max(float(np.sum(np.abs(wl)) + np.sum(np.abs(wr))), 1e-290)
-        if added <= 1e-17 * scale:
-            small += 1
-            if small >= series.consecutive_small:
-                return wl, wr
-        else:
-            small = 0
-        cpow *= mod.coef
-    raise NonConvergence(
-        "modulated kernel weights did not converge within the series "
-        "budget in double precision")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(0, len(coeffs), _FOLD_BLOCK):
+            block = coeffs[n:n + _FOLD_BLOCK]
+            taus = np.arange(n, n + block.size, dtype=float)
+            at, bt = _lr_weights(lo, hi, power + mod.beta * taus)
+            pows = np.cumprod(np.concatenate(
+                ([cpow], np.full(block.size, mod.coef))))
+            c = (block * pows[:-1])[:, None]
+            cpow = pows[-1]
+            wl = np.cumsum(np.concatenate((wl[-1:], c * at)), axis=0)[1:]
+            wr = np.cumsum(np.concatenate((wr[-1:], c * bt)), axis=0)[1:]
+            added = np.abs(c[:, 0]) * (np.sum(np.abs(at), axis=1)
+                                       + np.sum(np.abs(bt), axis=1))
+            scale = np.maximum(np.sum(np.abs(wl), axis=1)
+                               + np.sum(np.abs(wr), axis=1), 1e-290)
+            for i, (add, sc) in enumerate(zip(added.tolist(),
+                                              scale.tolist())):
+                if not math.isfinite(add):
+                    raise NonConvergence(_FOLD_FAILURE)
+                if add <= 1e-17 * sc:
+                    small += 1
+                    if small >= series.consecutive_small:
+                        return wl[i], wr[i]
+                else:
+                    small = 0
+    raise NonConvergence(_FOLD_FAILURE)
 
 
 def singular_convolution(f, t, power, modulator=None, controls=None,

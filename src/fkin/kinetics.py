@@ -499,6 +499,11 @@ def solve_single_term(problem: KineticProblem, ts, via="closed",
     Mittag-Leffler forcings.  ``via="derivative"`` instead differentiates
     the convolution of the forcing with ``E_nu(-a (t-u)^nu)``; the two
     routes rest on different identities and serve as mutual checks.
+    The derivative route is accurate in absolute terms only: its
+    difference stencil sees quadrature noise of fixed absolute size, so
+    its relative error grows as the solution decays.  For ``nu = 1``,
+    ``a = 1.7`` the error is 1.1e-11 at t = 1 and 6.3e-11 at t = 4, where
+    the solution is 1.1e-3: 6e-11 and 5.7e-8 relative.
     """
     if len(problem.nus) != 1:
         raise DomainError("this route needs exactly one term")

@@ -65,6 +65,10 @@ _MP_FLOOR = mp.mpf("1e-330")
 # Terms the log-magnitude scan looks at to size the first pass.
 _SCAN_TERMS = 4096
 _LOG_MAX = math.log(float(np.finfo(float).max))
+# Terms per block of the double Mittag-Leffler pass.
+_ML_BLOCK = 32
+# Widest block whose Kahan recurrence runs in Python floats.
+_KAHAN_COLUMNS = 8
 
 
 @dataclass(frozen=True)
@@ -314,6 +318,35 @@ def ml_one(nu: float, z: float, controls: SeriesControls | None = None) -> float
     return ml_two(nu, 1.0, z, controls)
 
 
+def _kahan(terms, total, comp):
+    """Kahan summation down the rows of ``terms``, one sum per column,
+    from the sums ``total`` and compensations ``comp``: returns the sums
+    after each row and the final sums and compensations.  A block of a few
+    columns runs in Python floats, which round as float64 arrays do, at a
+    fraction of the cost of numpy calls on rows that short."""
+    if terms.shape[1] > _KAHAN_COLUMNS:
+        sums = np.empty_like(terms)
+        for k in range(terms.shape[0]):
+            y = terms[k] - comp
+            t = total + y
+            comp = (t - total) - y
+            total = sums[k] = t
+        return sums, total, comp
+    sums, ends = [], []
+    for column, s, c in zip(terms.T.tolist(), total.tolist(), comp.tolist()):
+        col = []
+        for term in column:
+            y = term - c
+            t = s + y
+            c = (t - s) - y
+            s = t
+            col.append(s)
+        sums.append(col)
+        ends.append((s, c))
+    total, comp = np.array(ends).T
+    return np.array(sums).T, total, comp
+
+
 def _ml_values(beta, gamma_, delta, zs, ctrl=None):
     """Three-parameter Mittag-Leffler values over an array of arguments.
 
@@ -329,6 +362,12 @@ def _ml_values(beta, gamma_, delta, zs, ctrl=None):
     its sum leaves double range, or when it is still summing at a
     coefficient double precision cannot hold.  An entry whose rule has not
     fired within ``ctrl.max_terms`` terms raises ``NonConvergence``.
+
+    Terms are taken in blocks of ``_ML_BLOCK`` as arrays of terms by live
+    entries: powers and masses come from ``cumprod`` and ``cumsum``, which
+    repeat the additions of a term-by-term loop in its order; only the
+    Kahan recurrence runs term by term.  Each entry's firing term is then
+    found on the whole block, and entries that fired leave the arrays.
     """
     ctrl = ctrl if ctrl is not None else SeriesControls()
     zs = np.asarray(zs, dtype=float)
@@ -338,67 +377,72 @@ def _ml_values(beta, gamma_, delta, zs, ctrl=None):
         raise NonConvergence(
             f"|z| = {np.max(np.abs(zs)):g} lies outside the supported "
             f"series radius {SERIES_RADIUS:g}")
+    value = np.zeros_like(zs)
+    mass = np.zeros_like(zs)
+    # the live entries: their positions, arguments, Kahan sums and
+    # compensations, absolute masses, next powers of z and runs of small
+    # terms
+    pos = np.arange(zs.size)
+    z = zs
     total = np.zeros_like(zs)
     comp = np.zeros_like(zs)
     absum = np.zeros_like(zs)
     zpow = np.ones_like(zs)
-    small = np.zeros(zs.shape, dtype=int)
-    value = np.zeros_like(zs)
-    mass = np.zeros_like(zs)
-    fired = np.zeros(zs.shape, dtype=bool)
-    live = zs.size
-    n, size, cut = 0, 64, False
+    run = np.zeros(zs.shape, dtype=int)
+    n, size, cut = 0, 0, False
     with np.errstate(over="ignore", invalid="ignore"):
-        while live and n < ctrl.max_terms and not cut:
-            # one coefficient past the block, for the next-term check
-            m = min(size, ctrl.max_terms)
-            coeffs, _ = _ml_table(beta, gamma_, delta, m + 1)
-            cut = len(coeffs) < m
-            for k in range(n, min(m, len(coeffs))):
-                c = coeffs[k]
-                term = c * zpow
-                zpow *= zs
-                at = np.abs(term)
-                absum += at
-                y = term - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
-                # the literal rule compares against the partial sum alone;
-                # the floor terms keep it meaningful at zeros of the function
-                thr = ctrl.abs_tol * np.maximum(
-                    np.maximum(np.abs(total), _EPS * absum), 1e-290)
-                small = np.where(at <= thr, small + 1, 0)
-                fire = small == ctrl.consecutive_small
-                if fire.any():
-                    nxt = np.abs((coeffs[k + 1] if k + 1 < len(coeffs)
-                                  else math.inf) * zs)
-                    grows = fire & (nxt >= abs(c)) & (nxt > 0.0)
-                    # checked again at the next small term
-                    small[grows] -= 1
-                    fire &= ~grows
-                    value[fire] = total[fire]
-                    mass[fire] = absum[fire]
-                    fired |= fire
-                    # only zeros follow, so the rule cannot fire again
-                    # where later terms grow back past it
-                    zpow[fire] = 0.0
-                    live -= int(np.count_nonzero(fire))
-                    if not live:
-                        break
-            n = min(m, len(coeffs))
-            size *= 4
+        while pos.size and n < ctrl.max_terms and not cut:
+            end = min(n + _ML_BLOCK, ctrl.max_terms)
+            if end > size:
+                # one coefficient past the table, for the next-term check
+                size = min(max(4 * size, 64), ctrl.max_terms)
+                coeffs, _ = _ml_table(beta, gamma_, delta, size + 1)
+            stop = min(end, len(coeffs))
+            cut = stop < end
+            rows = stop - n
+            if not rows:
+                break
+            c = coeffs[n:stop]
+            nxt = np.append(coeffs, math.inf)[n + 1:stop + 1]
+            pows = np.cumprod(np.concatenate(
+                (zpow[None], np.broadcast_to(z, (rows, z.size)))), axis=0)
+            zpow = pows[-1]
+            terms = c[:, None] * pows[:-1]
+            at = np.abs(terms)
+            absums = np.cumsum(np.concatenate((absum[None], at)), axis=0)[1:]
+            totals, total, comp = _kahan(terms, total, comp)
+            # the literal rule compares against the partial sum alone;
+            # the floor terms keep it meaningful at zeros of the function
+            thr = ctrl.abs_tol * np.maximum(
+                np.maximum(np.abs(totals), _EPS * absums), 1e-290)
+            # runs of small terms ending at each term, carried across blocks
+            ks = np.arange(rows)[:, None]
+            runs = ks - np.maximum.accumulate(
+                np.where(at <= thr, -1 - run, ks), axis=0)
+            nxt = np.abs(nxt[:, None] * z)
+            grows = (nxt >= np.abs(c)[:, None]) & (nxt > 0.0)
+            fire = (runs >= ctrl.consecutive_small) & ~grows
+            hit = fire.any(axis=0)
+            cols = np.nonzero(hit)[0]
+            first = fire[:, cols].argmax(axis=0)
+            value[pos[cols]] = totals[first, cols]
+            mass[pos[cols]] = absums[first, cols]
+            keep = ~hit
+            pos, z, total, comp, zpow = (
+                v[keep] for v in (pos, z, total, comp, zpow))
+            absum, run = absums[-1][keep], runs[-1][keep]
+            n = stop
             # live sums that all left double range go to extended precision
-            if live and not np.any(np.isfinite(total[~fired])):
+            if pos.size and not np.any(np.isfinite(total)):
                 break
     rescue = ~np.isfinite(value) \
         | (_GUARD_FACTOR * _EPS * mass > _GUARD_REL * np.abs(value))
-    if live:
-        if not cut and np.any(~fired & np.isfinite(total)):
+    if pos.size:
+        if not cut and np.any(np.isfinite(total)):
             raise NonConvergence(
                 "Mittag-Leffler series did not satisfy the stopping rule "
                 f"within max_terms={ctrl.max_terms}")
-        rescue |= ~fired
+        rescue[pos] = True
     for i in np.nonzero(rescue)[0]:
         z = float(zs[i])
 

@@ -8,10 +8,12 @@ import scipy.integrate as si
 
 from fkin.errors import DomainError, NonConvergence
 from fkin.fracops import (ConvolutionControls, MLModulator, SampledFunction,
-                          ddt, laplace_of_interpolant, rl_integral,
+                          _folded_lr, _graded_nodes, ddt,
+                          laplace_of_interpolant, rl_integral,
                           rl_integral_grid, singular_convolution,
                           singular_convolution_grid)
-from fkin.specfun import MLParams, SeriesControls, ml_prabhakar, ml_two
+from fkin.specfun import (MLParams, SeriesControls, _ml_table, ml_prabhakar,
+                          ml_two)
 
 
 def rel(got, ref):
@@ -176,6 +178,114 @@ def test_unfolded_kernel_raises_on_both_meshes(mod, series):
     with pytest.raises(NonConvergence):
         singular_convolution_grid(1.0 + np.linspace(0.0, 1.0, 65), 1.0 / 64,
                                   -0.3, mod, series)
+
+
+def _lr_weights_scalar(a, b, q):
+    # the cell weights for one exponent: closed forms on every cell, then
+    # all 24 binomial terms on the cells small against their distance
+    h = b - a
+    q1 = q + 1.0
+    q2 = q + 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m0 = (b ** q1 - a ** q1) / q1
+        m1 = (b ** q2 - a ** q2) / q2
+        wl = (m1 - a * m0) / h
+        wr = (b * m0 - m1) / h
+    small = h < 0.02 * b
+    if np.any(small):
+        asm = a[small]
+        r = h[small] / asm
+        ck = np.ones_like(r)
+        sl = ck / 2.0
+        sr = ck / 2.0
+        for k in range(24):
+            ck = ck * ((q - k) / (k + 1.0)) * r
+            sl += ck / (k + 3.0)
+            sr += ck / ((k + 2.0) * (k + 3.0))
+        front = asm ** q * h[small]
+        wl[small] = front * sl
+        wr[small] = front * sr
+    return wl, wr
+
+
+def _folded_lr_by_term(lo, hi, power, mod, series):
+    # the fold one modulator term at a time; also returns the term count
+    if mod is None:
+        return _lr_weights_scalar(lo, hi, power) + (None,)
+    coeffs, _ = _ml_table(mod.beta, mod.gamma_, mod.delta, series.max_terms)
+    wl = np.zeros_like(lo)
+    wr = np.zeros_like(lo)
+    small = 0
+    cpow = 1.0
+    for tau, coeff in enumerate(coeffs):
+        at, bt = _lr_weights_scalar(lo, hi, power + mod.beta * tau)
+        c = coeff * cpow
+        wl += c * at
+        wr += c * bt
+        added = abs(c) * (np.sum(np.abs(at)) + np.sum(np.abs(bt)))
+        if not math.isfinite(added):
+            break
+        scale = max(float(np.sum(np.abs(wl)) + np.sum(np.abs(wr))), 1e-290)
+        if added <= 1e-17 * scale:
+            small += 1
+            if small >= series.consecutive_small:
+                return wl, wr, tau + 1
+        else:
+            small = 0
+        cpow *= mod.coef
+    raise NonConvergence("reference fold did not converge")
+
+
+def _grid_cells(t):
+    m = np.arange(1.0, 512 * t + 2.0)
+    return (m - 1.0) / 512, m / 512
+
+
+def _graded_cells(t, m):
+    x = t - _graded_nodes(t, m, 2)
+    return x[1:], x[:-1]
+
+
+@pytest.mark.parametrize("power, mod, terms", [
+    (-0.5, None, None),
+    (0.3, None, None),
+    # stops inside the first block of eight terms
+    (0.2, MLModulator(0.5, 1.0, 0.0, -2.0), range(1, 9)),
+    (-0.3, MLModulator(0.5, 0.7, 1.0, -1e-5), range(1, 9)),
+    # stops at the last term of the first block or the first of the next
+    (-0.3, MLModulator(0.9, 0.7, 1.0, -1e-3), range(8, 10)),
+    # stops after several blocks
+    (0.0, MLModulator(1.0, 1.0, 1.0, -1.0), range(16, 400)),
+    (-0.2, MLModulator(0.8, 0.8, 2.0, -2.5), range(16, 400)),
+    (-0.5, MLModulator(0.5, 0.5, 1.0, 1.5), range(16, 400)),
+], ids=["plain-sqrt", "plain-power", "delta0", "first-block",
+        "block-edge", "exp", "decaying", "growing"])
+def test_blocked_fold_matches_term_by_term(power, mod, terms):
+    # summing the modulator terms in blocks repeats the additions of the
+    # term-by-term loop in its order, so the weights are bitwise equal on
+    # grid cells and on graded meshes with their Richardson doubling
+    series = SeriesControls()
+    meshes = [_grid_cells(0.25), _grid_cells(3.0)]
+    meshes += [_graded_cells(t, m) for t, m in ((0.4, 64), (2.5, 640))
+               for m in (m, 2 * m)]
+    for lo, hi in meshes:
+        got = _folded_lr(lo, hi, power, mod, series)
+        ref = _folded_lr_by_term(lo, hi, power, mod, series)
+        assert got[0].tobytes() == ref[0].tobytes()
+        assert got[1].tobytes() == ref[1].tobytes()
+        if mod is not None:
+            assert ref[2] in terms, ref[2]
+
+
+def test_blocked_fold_raises_where_the_loop_does():
+    lo, hi = _grid_cells(1.0)
+    mod = MLModulator(0.8, 0.8, 2.0, -2.5)
+    for budget in (5, 8, 20):
+        series = SeriesControls(max_terms=budget)
+        with pytest.raises(NonConvergence):
+            _folded_lr_by_term(lo, hi, -0.2, mod, series)
+        with pytest.raises(NonConvergence):
+            _folded_lr(lo, hi, -0.2, mod, series)
 
 
 class TestDerivativeStencil:

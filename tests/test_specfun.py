@@ -2,12 +2,15 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from fkin.errors import DomainError, NonConvergence
-from fkin.specfun import (MLParams, SeriesControls, _ml_values, gamma_recip,
-                          ml_one, ml_prabhakar, ml_two, pochhammer)
+from fkin.specfun import (_EPS, _GUARD_FACTOR, _GUARD_REL, MLParams,
+                          SeriesControls, _Family, _ml_table, _ml_values,
+                          _sum_extended, gamma_recip, ml_one, ml_prabhakar,
+                          ml_two, pochhammer)
 
 # reference constants frozen from extended-precision series runs
 # (explicit term loops, 60+ digits, termination on 4 consecutive
@@ -155,6 +158,98 @@ def test_batch_does_not_change_values():
         for z, v in zip(zs, got):
             one = ml_prabhakar(MLParams(beta, 1.0, 1e-15, z), budget)
             assert float(v) == one, (beta, z)
+
+
+def _ml_values_by_term(beta, gamma_, delta, zs, ctrl):
+    # the double pass one term at a time over the whole batch, with fired
+    # entries kept in it and their powers zeroed
+    total = np.zeros_like(zs)
+    comp = np.zeros_like(zs)
+    absum = np.zeros_like(zs)
+    zpow = np.ones_like(zs)
+    small = np.zeros(zs.shape, dtype=int)
+    value = np.zeros_like(zs)
+    mass = np.zeros_like(zs)
+    fired = np.zeros(zs.shape, dtype=bool)
+    coeffs, _ = _ml_table(beta, gamma_, delta, ctrl.max_terms + 1)
+    n = min(ctrl.max_terms, len(coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            c = coeffs[k]
+            term = c * zpow
+            zpow *= zs
+            at = np.abs(term)
+            absum += at
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            thr = ctrl.abs_tol * np.maximum(
+                np.maximum(np.abs(total), _EPS * absum), 1e-290)
+            small = np.where(at <= thr, small + 1, 0)
+            fire = small == ctrl.consecutive_small
+            nxt = np.abs((coeffs[k + 1] if k + 1 < len(coeffs)
+                          else math.inf) * zs)
+            grows = fire & (nxt >= abs(c)) & (nxt > 0.0)
+            small[grows] -= 1
+            fire &= ~grows
+            value[fire] = total[fire]
+            mass[fire] = absum[fire]
+            fired |= fire
+            zpow[fire] = 0.0
+            if fired.all():
+                break
+    rescue = ~np.isfinite(value) \
+        | (_GUARD_FACTOR * _EPS * mass > _GUARD_REL * np.abs(value))
+    if not fired.all():
+        if n == ctrl.max_terms and np.any(~fired & np.isfinite(total)):
+            raise NonConvergence("reference pass did not converge")
+        rescue |= ~fired
+    for i in np.nonzero(rescue)[0]:
+        z = float(zs[i])
+
+        def build(z=z):
+            return [_Family(1, mp.mpf(z), (mp.mpf(delta),), (1,),
+                            mp.mpf(gamma_), mp.mpf(beta))]
+
+        value[i] = _sum_extended(build, ctrl.abs_tol, ctrl.consecutive_small,
+                                 ctrl.max_terms,
+                                 positive=z > 0.0 and delta > 0.0)
+    return value
+
+
+def test_blocked_pass_matches_term_by_term():
+    # the blocked pass repeats the arithmetic of a term-by-term loop over
+    # the whole batch, so every value is bitwise equal to it
+    rng = np.random.default_rng(7)
+    ctrl = SeriesControls()
+    for _ in range(60):
+        beta = rng.choice([rng.uniform(0.5, 2.0), 0.5, 1.0, 2.0])
+        gamma_ = rng.choice([rng.uniform(0.2, 3.0), 1.0])
+        delta = rng.choice([rng.uniform(0.1, 3.0), 1.0, 2.0, 0.0])
+        zs = rng.uniform(-6.0, 6.0, int(rng.integers(1, 21)))
+        zs[rng.random(zs.size) < 0.1] = 0.0
+        got = _ml_values(beta, gamma_, delta, zs, ctrl)
+        ref = _ml_values_by_term(beta, gamma_, delta, zs, ctrl)
+        assert got.tobytes() == ref.tobytes(), (beta, gamma_, delta, zs)
+    # delta = 1e-15 fires on the first terms, and the terms grow back past
+    # the rule before they decay
+    budget = SeriesControls(max_terms=4000)
+    zs = np.linspace(1.0, 1.6, 7)
+    for beta in (0.1, 0.2):
+        got = _ml_values(beta, 1.0, 1e-15, zs, budget)
+        ref = _ml_values_by_term(beta, 1.0, 1e-15, zs, budget)
+        assert got.tobytes() == ref.tobytes(), beta
+
+
+def test_blocked_pass_raises_where_the_loop_does():
+    zs = np.array([-1.0, -40.0, 0.5])
+    for budget in (20, 32, 33, 100):
+        ctrl = SeriesControls(max_terms=budget)
+        with pytest.raises(NonConvergence):
+            _ml_values_by_term(0.5, 1.0, 1.0, zs, ctrl)
+        with pytest.raises(NonConvergence, match="max_terms"):
+            _ml_values(0.5, 1.0, 1.0, zs, ctrl)
 
 
 def test_reduction_chain():
