@@ -20,36 +20,14 @@ import numpy as np
 
 from .diffusion import DiffusionProblem, StableParams, fundamental_solution, levy_density
 from .errors import ConfigError, DomainError, FkinError, SolverError
-from .kinetics import (
-    KineticProblem,
-    MLForcing,
-    PowerLaw,
-    Unit,
-    select_solver,
-    solve_arithmetic,
-    solve_binomial,
-    solve_geometric,
-    solve_ml_closed,
-    solve_multiterm,
-    solve_power_closed,
-    solve_single_term,
-)
+from .kinetics import (ROUTES, KineticProblem, MLForcing, PowerLaw, Unit,
+                       select_solver)
 from .specfun import MLParams, _ml_values, ml_prabhakar
 from .verification import run_all, verify_problem
 
 SCHEMA_VERSION = 1
 
 _MODES = ("kinetic", "diffusion", "levy", "specfun-eval", "verify")
-
-_ROUTES = {
-    "single": solve_single_term,
-    "binomial": solve_binomial,
-    "geometric": solve_geometric,
-    "arithmetic": solve_arithmetic,
-    "multiterm": solve_multiterm,
-    "ml-closed": solve_ml_closed,
-    "power-closed": solve_power_closed,
-}
 
 
 @dataclass(frozen=True)
@@ -183,9 +161,9 @@ def parse_config(data):
         if mode == "kinetic":
             selector = _take(data, "solver_selector", str, "config",
                              required=False, default="auto")
-            _require(selector == "auto" or selector in _ROUTES,
+            _require(selector == "auto" or selector in ROUTES,
                      f"config: unknown solver_selector '{selector}' "
-                     f"(expected auto or one of {', '.join(sorted(_ROUTES))})")
+                     f"(expected auto or one of {', '.join(sorted(ROUTES))})")
     elif mode == "diffusion":
         allowed += ["space_grid", "time"]
         _no_extras(data, allowed, "config")
@@ -257,7 +235,7 @@ def execute(config):
             if config.solver_selector == "auto":
                 _, solver = select_solver(config.problem)
             else:
-                solver = _ROUTES[config.solver_selector]
+                solver = ROUTES[config.solver_selector]
             values = np.asarray(solver(config.problem, config.time_grid))
             return ("t", "value"), list(zip(config.time_grid, values))
         if config.mode == "diffusion":

@@ -38,7 +38,6 @@ __all__ = [
     "KineticProblem",
     "TruncationPolicy",
     "laplace_domain",
-    "enumerate_compositions",
     "solve_multiterm",
     "solve_multiterm_grid",
     "solve_arithmetic",
@@ -51,14 +50,15 @@ __all__ = [
     "geometric_problem",
     "residual_grid",
     "select_solver",
+    "ROUTES",
 ]
 
 # Relative tolerance used when matching coefficient patterns.
 _PATTERN_TOL = 1e-10
 
-# A closed form whose numerator terms sum in magnitude past this multiple of
-# its value raises NonConvergence: the cancellation would amplify the
-# terms' 1e-13 relative error past 1e-9 of the value.
+# A solution whose terms sum in magnitude past this multiple of its value
+# raises NonConvergence: the cancellation would amplify the terms' 1e-13
+# relative error past 1e-9 of the value.
 _CANCEL_LIMIT = 1e4
 
 
@@ -178,8 +178,9 @@ class TruncationPolicy:
 
     Levels are added until two consecutive ones contribute below
     ``rel_tol`` of the running solution scale; exceeding ``l_max`` raises
-    ``NonConvergence``, and a level whose composition count exceeds
-    ``max_compositions`` raises ``ResourceError`` before any work is done.
+    ``NonConvergence``, and a level with more than ``max_compositions``
+    distinct kernel exponents raises ``ResourceError`` before it is
+    evaluated.
     """
 
     l_max: int = 80
@@ -205,64 +206,6 @@ def laplace_domain(problem: KineticProblem, s, _denominator_sign=1.0):
     denom = 1.0 + _denominator_sign * sum(
         a * s ** (-v) for a, v in zip(problem.rates, problem.nus))
     return problem.n0 * complex(problem.forcing.transform(s)) / denom
-
-
-def enumerate_compositions(total, slots, max_compositions=200_000):
-    """All tuples of ``slots`` nonnegative integers summing to ``total``.
-
-    The count is checked against ``max_compositions`` up front.
-    """
-    if slots < 0 or total < 0:
-        raise DomainError("total and slots must be nonnegative")
-    if slots == 0:
-        return [] if total > 0 else [()]
-    count = math.comb(total + slots - 1, slots - 1)
-    if count > max_compositions:
-        raise ResourceError(
-            f"level has {count} compositions, above the budget of "
-            f"{max_compositions}"
-        )
-    out = []
-
-    def rec(prefix, remaining, left):
-        if left == 1:
-            out.append(prefix + (remaining,))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + (k,), remaining - k, left - 1)
-
-    rec((), total, slots)
-    return out
-
-
-def _multinomial(level, parts):
-    out = math.factorial(level)
-    for p in parts:
-        out //= math.factorial(p)
-    return float(out)
-
-
-def _level_groups(problem, level, policy):
-    """Coefficient of each distinct kernel exponent at one resolvent level.
-
-    Compositions sharing the exponent ``gamma_r = sum nu_mu r_mu`` share
-    one integral, so their multinomial weights are merged.
-    """
-    hi_nus = problem.nus[1:]
-    hi_rates = problem.rates[1:]
-    groups = {}
-    for r in enumerate_compositions(level, len(hi_nus),
-                                    policy.max_compositions):
-        gamma_r = sum(v * k for v, k in zip(hi_nus, r))
-        coef = _multinomial(level, r)
-        for a, k in zip(hi_rates, r):
-            coef *= a ** k
-        key = round(gamma_r, 12)
-        if key in groups:
-            groups[key] = (groups[key][0], groups[key][1] + coef)
-        else:
-            groups[key] = (gamma_r, coef)
-    return list(groups.values())
 
 
 def _times(ts):
@@ -331,11 +274,7 @@ def _closed(problem, ts, plan, controls=None, truncation=None):
                 out = term if out is None else out + term
                 part = term if part is None else part + term
             mass = mass + np.abs(part)
-        if np.any(mass > _CANCEL_LIMIT * np.abs(out)):
-            raise NonConvergence(
-                "numerator terms cancel by more than "
-                f"{_CANCEL_LIMIT:g}: the closed form has lost its digits")
-        return out
+        return out, mass
 
     return _sum_levels(problem, ts, plan.levels, level_sum, truncation)
 
@@ -369,9 +308,13 @@ def _quadrature_expansion(problem, ts, controls=None, truncation=None,
 
     def level_sum(pos, level, groups):
         if level == 0:
-            return problem.n0 * (fs[pos] - a1 * conv(pos, nu1, 1.0))
-        return problem.n0 * sum(coef * conv(pos, gamma_r, level + 1.0)
-                                for gamma_r, coef in groups)
+            tail = a1 * conv(pos, nu1, 1.0)
+            return (problem.n0 * (fs[pos] - tail),
+                    abs(problem.n0) * (np.abs(fs[pos]) + np.abs(tail)))
+        terms = [coef * conv(pos, gamma_r, level + 1.0)
+                 for gamma_r, coef in groups]
+        return (problem.n0 * sum(terms),
+                abs(problem.n0) * sum(np.abs(term) for term in terms))
 
     return _sum_levels(problem, ts, len(problem.nus) > 1, level_sum,
                        truncation)
@@ -379,22 +322,39 @@ def _quadrature_expansion(problem, ts, controls=None, truncation=None,
 
 def _sum_levels(problem, ts, levels, level_sum, truncation):
     """Level zero, then with ``levels`` the resolvent levels at every
-    positive time until two in a row move it by under ``rel_tol``."""
-    vals = level_sum(slice(None), 0, ((0.0, 1.0),))
-    if not levels:
-        return vals
+    positive time until two in a row move it by under ``rel_tol``.
+
+    ``level_sum(pos, level, groups)`` returns a level's value and the
+    magnitude it added; ``groups`` pairs each kernel exponent of the level
+    with its coefficient.  Each group ``(gamma_r, c)`` of one level times
+    each order past the first, ``(nu_j, a_j)``, gives ``(gamma_r + nu_j,
+    -c a_j)`` in the next, where equal exponents merge.  A time whose
+    summed magnitude passes ``_CANCEL_LIMIT`` times its value raises
+    ``NonConvergence``.
+    """
+    groups = [(0.0, 1.0)]
+    vals, mass = level_sum(slice(None), 0, groups)
     policy = truncation if truncation is not None else TruncationPolicy()
     small = np.zeros(ts.shape, dtype=int)
-    active = ts > 0.0
+    active = (ts > 0.0) & levels
     for level in range(1, policy.l_max + 1):
         if not np.any(active):
             break
+        merged = {}
+        for gamma_r, coef in groups:
+            for nu, a in zip(problem.nus[1:], problem.rates[1:]):
+                key = round(gamma_r + nu, 12)
+                gamma_, rest = merged.get(key, (gamma_r + nu, 0.0))
+                merged[key] = (gamma_, rest - coef * a)
+        if len(merged) > policy.max_compositions:
+            raise ResourceError(
+                f"level {level} has {len(merged)} kernel exponents, above "
+                f"the budget of {policy.max_compositions}")
+        groups = list(merged.values())
         pos = np.nonzero(active)[0]
-        sign = -1.0 if level % 2 else 1.0
-        groups = [(gamma_r, sign * coef) for gamma_r, coef
-                  in _level_groups(problem, level, policy)]
-        contrib = level_sum(pos, level, groups)
+        contrib, added = level_sum(pos, level, groups)
         vals[pos] += contrib
+        mass[pos] += added
         tiny = np.abs(contrib) <= policy.rel_tol * np.maximum(
             np.abs(vals[pos]), 1e-290)
         small[pos] = np.where(tiny, small[pos] + 1, 0)
@@ -403,6 +363,10 @@ def _sum_levels(problem, ts, levels, level_sum, truncation):
         raise NonConvergence(
             f"resolvent expansion still moving after {policy.l_max} levels"
         )
+    if np.any(mass > _CANCEL_LIMIT * np.abs(vals)):
+        raise NonConvergence(
+            f"resolvent terms cancel by more than {_CANCEL_LIMIT:g}: the "
+            "sum has lost its digits")
     return vals
 
 
@@ -633,3 +597,15 @@ def select_solver(problem: KineticProblem):
     if _arithmetic_step(problem) is not None:
         return "arithmetic", solve_arithmetic
     return "multiterm", solve_multiterm
+
+
+# Every route by its label, in select_solver's order of preference.
+ROUTES = {
+    "ml-closed": solve_ml_closed,
+    "power-closed": solve_power_closed,
+    "single": solve_single_term,
+    "binomial": solve_binomial,
+    "geometric": solve_geometric,
+    "arithmetic": solve_arithmetic,
+    "multiterm": solve_multiterm,
+}

@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fkin.cli import _ROUTES, execute, main, parse_config, render_csv
+from fkin.cli import execute, main, parse_config, render_csv
 from fkin.errors import DomainError
-from fkin.kinetics import (KineticProblem, MLForcing, PowerLaw,
+from fkin.kinetics import (ROUTES, KineticProblem, MLForcing, PowerLaw,
                            binomial_problem, select_solver)
 from fkin.verification import canonical_problems
 
@@ -257,7 +257,7 @@ FITS = {
 }
 
 
-@pytest.mark.parametrize("selector", sorted(_ROUTES))
+@pytest.mark.parametrize("selector", sorted(ROUTES))
 def test_selector_parity(selector):
     # a route forced onto a problem it fits gives the automatic route's
     # values; onto one it does not fit, it refuses
@@ -266,8 +266,8 @@ def test_selector_parity(selector):
     for name, problem in PARITY_PANEL.items():
         if name in FITS[selector]:
             auto = select_solver(problem)[1](problem, ts)
-            got = _ROUTES[selector](problem, ts)
+            got = ROUTES[selector](problem, ts)
             assert float(np.max(np.abs(got - auto) / np.abs(auto))) < 1e-12, name
         else:
             with pytest.raises(DomainError):
-                _ROUTES[selector](problem, ts)
+                ROUTES[selector](problem, ts)

@@ -8,10 +8,10 @@ import pytest
 from fkin.errors import DomainError, NonConvergence, ResourceError
 from fkin.kinetics import (KineticProblem, MLForcing, PowerLaw, Sampled,
                            TruncationPolicy, Unit, _quadrature_expansion,
-                           binomial_problem, enumerate_compositions,
-                           geometric_problem, laplace_domain, residual_grid,
-                           select_solver, solve_arithmetic, solve_binomial,
-                           solve_geometric, solve_ml_closed, solve_multiterm,
+                           _sum_levels, binomial_problem, geometric_problem,
+                           laplace_domain, residual_grid, select_solver,
+                           solve_arithmetic, solve_binomial, solve_geometric,
+                           solve_ml_closed, solve_multiterm,
                            solve_multiterm_grid, solve_power_closed,
                            solve_single_term)
 from fkin.fracops import SampledFunction
@@ -65,26 +65,60 @@ class TestForcings:
         assert abs(got - 1.0 / 3.0) < 1e-12
 
 
-class TestCompositions:
-    def test_small_levels(self):
-        assert enumerate_compositions(2, 2) == [(0, 2), (1, 1), (2, 0)]
-        assert enumerate_compositions(0, 3) == [(0, 0, 0)]
-        assert len(enumerate_compositions(3, 3)) == 10
+def level_groups(problem, levels):
+    """The ``(exponent, coefficient)`` groups of resolvent levels 1 to
+    ``levels``, as the level loop hands them to its level sums."""
+    seen = []
 
-    def test_multinomial_weights_sum(self):
-        # sum over compositions of l into k parts of l!/(prod r_i!) is k^l
-        l, k = 3, 3
-        total = 0
-        for comp in enumerate_compositions(l, k):
-            w = math.factorial(l)
-            for r in comp:
-                w //= math.factorial(r)
-            total += w
-        assert total == k ** l
+    def record(pos, level, groups):
+        seen.append(sorted(groups))
+        return np.ones(1), np.ones(1)
 
-    def test_budget_guard(self):
+    # every level moves the sum by one, so the loop runs out of levels
+    with pytest.raises(NonConvergence):
+        _sum_levels(problem, np.array([1.0]), True, record,
+                    TruncationPolicy(l_max=levels))
+    return seen[1:]
+
+
+class TestLevels:
+    def test_commensurate_exponents_merge(self):
+        # (0.5 s^-1 + 0.25 s^-1.5)^l expanded by hand: the two paths to
+        # the exponent 2.5 merge at level 2
+        p = KineticProblem(1, (0.5, 1.0, 1.5), (1.0, 0.5, 0.25), Unit())
+        want = [
+            [(1.0, -0.5), (1.5, -0.25)],
+            [(2.0, 0.25), (2.5, 0.25), (3.0, 0.0625)],
+            [(3.0, -0.125), (3.5, -0.1875), (4.0, -0.09375),
+             (4.5, -0.015625)],
+        ]
+        assert level_groups(p, 3) == want
+
+    def test_coefficients_sum_to_power(self):
+        # setting s = 1 in (-sum_j a_j s^-nu_j)^l
+        rates = (1.0, 0.3, 0.7, 0.2)
+        p = KineticProblem(1, (0.3, 0.71, 1.13, 1.9), rates, Unit())
+        for level, groups in enumerate(level_groups(p, 6), start=1):
+            want = (-sum(rates[1:])) ** level
+            total = sum(coef for _, coef in groups)
+            assert abs(total - want) < 1e-14 * abs(want)
+
+    def test_exponent_budget(self):
+        # four incommensurate orders past the first have 56 exponents at
+        # level 5
+        p = KineticProblem(1, (0.3, 0.71, 1.13, 1.57, 1.9),
+                           (1.0, 0.1, 0.1, 0.1, 0.1), Unit())
         with pytest.raises(ResourceError):
-            enumerate_compositions(50, 6, max_compositions=1000)
+            solve_multiterm(p, np.array([2.0]),
+                            truncation=TruncationPolicy(max_compositions=50))
+        # commensurate orders share exponents: 2l + 1 of them at level l,
+        # against (l + 1)(l + 2)/2 compositions
+        p = KineticProblem(1, (0.5, 1.0, 1.5, 2.0), (1.0, 0.3, 0.3, 0.3),
+                           Unit())
+        ts = np.array([0.25])
+        got = solve_multiterm(p, ts,
+                              truncation=TruncationPolicy(max_compositions=20))
+        assert got[0] == solve_multiterm(p, ts)[0]
 
 
 class TestClassicalLimits:
@@ -197,6 +231,17 @@ class TestQuadratureRoute:
         closed = KineticProblem(1, nus, rates, PowerLaw(2.0))
         assert max_rel(got, select_solver(closed)[1](closed, TS)) < 1e-10
         assert max_rel(got, self.stepped(p, TS)) < 1e-4
+
+    def test_cancellation_is_caught(self):
+        # constant forcing, exact solution e^-t: at t = 20 the level terms
+        # sum in magnitude to 6.0e8 times the value, and what their
+        # difference leaves is 3.3e-9 against 2.06e-9
+        flat = Sampled(SampledFunction(self.GRID, np.ones_like(self.GRID)))
+        p = KineticProblem(1, (1.0,), (1.0,), flat)
+        with pytest.raises(NonConvergence):
+            solve_single_term(p, np.array([20.0]))
+        got = solve_single_term(p, np.array([5.0]))
+        assert max_rel(got, np.exp(-5.0)) < 1e-12
 
     def test_unmatched_ml_forcing(self):
         # the forcing's c^nu = 1/2 differs from the base c_nu = 2^(-1/2)

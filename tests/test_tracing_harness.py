@@ -39,3 +39,9 @@ def test_tracer_patches_existing_names_and_restores_them():
     assert len(saved) >= len(tracing._ENTRY_POINTS)
     for owner, attr, original in saved:
         assert getattr(owner, attr) is original, attr
+
+
+def test_route_labels_match_the_tracer():
+    # the tracer reports one time per route label, plus the grid solve
+    tracing = _load_tracing()
+    assert sorted([*fkin.kinetics.ROUTES, "grid"]) == sorted(tracing.ROUTES)
