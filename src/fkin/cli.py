@@ -58,6 +58,10 @@ def _take(mapping, key, kind, where, required=True, default=None):
         _require(isinstance(value, (int, float))
                  and not isinstance(value, bool),
                  f"{where}: field '{key}' must be a number")
+        # JSON readers accept NaN and Infinity; an integer may be too
+        # large for a double
+        _require(abs(value) <= sys.float_info.max,
+                 f"{where}: field '{key}' must be finite")
         return float(value)
     if kind is int:
         _require(isinstance(value, int) and not isinstance(value, bool),
@@ -118,8 +122,8 @@ def _parse_kinetic_problem(spec):
     nus = _take(spec, "nus", list, "problem")
     rates = _take(spec, "rates", list, "problem")
     _require(all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                 for v in nus + rates),
-             "problem: nus and rates must be arrays of numbers")
+                 and abs(v) <= sys.float_info.max for v in nus + rates),
+             "problem: nus and rates must be arrays of finite numbers")
     forcing = _parse_forcing(_take(spec, "forcing", dict, "problem"))
     try:
         return KineticProblem(n0=_take(spec, "n0", float, "problem"),

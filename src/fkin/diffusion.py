@@ -119,19 +119,23 @@ def _fsum_with_guard(terms):
     return total, converged, clean
 
 
+def _alt_sum(w, g0, slope):
+    """:func:`_fsum_with_guard` of ``sum_m (-w)^m rgamma(g0 - slope m) / m!``
+    in double precision, over the term budget of ``slope``."""
+    n = _budget_for(slope)
+    ms = np.arange(n, dtype=float)
+    fac = np.ones(n)
+    fac[1:] = np.cumprod(w / ms[1:])
+    terms = np.where(ms % 2 == 0, fac, -fac) \
+        * _gamma_recip_array(g0 - slope * ms)
+    return _fsum_with_guard(terms)
+
+
 def _alt_series(alpha, A, drop):
     """sum_m (-sqrt(A))^m rgamma(1 - drop alpha - alpha m/2) / m!, re-summed
     in extended precision when the double sum fails its guard."""
-    w = math.sqrt(A)
-    g0, slope = 1.0 - drop * alpha, alpha / 2.0
-    n = _budget_for(slope)
-    ms = np.arange(n, dtype=float)
-    rg = _gamma_recip_array(g0 - slope * ms)
-    fac = np.ones(n)
-    if n > 1:
-        fac[1:] = np.cumprod(w / np.arange(1.0, n))
-    terms = np.where(ms % 2 == 0, fac, -fac) * rg
-    total, converged, clean = _fsum_with_guard(terms)
+    total, converged, clean = _alt_sum(math.sqrt(A), 1.0 - drop * alpha,
+                                       alpha / 2.0)
     if converged and clean:
         return total
 
@@ -139,7 +143,7 @@ def _alt_series(alpha, A, drop):
         am = mp.mpf(alpha)
         return [_Family(1, -mp.sqrt(A), (), (1,), 1 - drop * am, -am / 2)]
 
-    return _sum_extended(build, None, 3, _MP_BUDGET)
+    return _sum_extended(build, None, _MP_BUDGET)
 
 
 def series_n1(alpha, A):
@@ -187,9 +191,9 @@ def asymptotic_n2(alpha, x, t):
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError("the logarithmic form needs alpha in (0, 1)")
-    if t <= 0.0:
-        raise DomainError("t must be positive")
-    if x <= 0.0:
+    if not 0.0 < t < math.inf:
+        raise DomainError("t must be positive and finite")
+    if not x > 0.0:
         raise DomainError("x must be positive")
     half = t ** (alpha / 2.0)
     if x > half:
@@ -247,7 +251,7 @@ def _two_sum(alpha, n_dim, B):
 
     # the family totals cancel against each other, so each family's tail
     # is cut at the working precision, not relative to its own sum
-    return _sum_extended(build, None, 3, _MP_BUDGET)
+    return _sum_extended(build, None, _MP_BUDGET)
 
 
 # Taylor coefficients of sin(x)/x - 1 in powers of x^2, to x^20
@@ -387,10 +391,10 @@ def fundamental_solution(p: DiffusionProblem, x, t):
     and raises ``NotSupported``; :func:`asymptotic_n2` gives its leading
     logarithmic term near the origin.
     """
-    if t <= 0.0:
-        raise DomainError("t must be positive")
-    if x < 0.0:
-        raise DomainError("x is a radius and must be nonnegative")
+    if not 0.0 < t < math.inf:
+        raise DomainError("t must be positive and finite")
+    if not 0.0 <= x < math.inf:
+        raise DomainError("x is a radius and must be finite and nonnegative")
     d = p.diff_coeff
     if p.dim == 2:
         raise NotSupported("no certified planar route; asymptotic_n2 gives "
@@ -423,8 +427,8 @@ def levy_density(sp: StableParams, t):
     floor the density underflows and 0.0 is returned without summing.
     """
     rho = sp.rho
-    if t <= 0.0:
-        raise DomainError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError("t must be positive and finite")
     # steepest-descent exponent -c A(0); 30 nats of slack for the algebraic
     # factor.  Past log c = 700 the exponent is far below that floor, and
     # c itself would overflow.
@@ -432,13 +436,7 @@ def levy_density(sp: StableParams, t):
     if (-rho / (1.0 - rho) * math.log(t) > 700.0
             or -a0 * t ** (-rho / (1.0 - rho)) + 30.0 < -640.0):
         return 0.0
-    w = t ** (-rho)
-    n = _budget_for(rho)
-    ks = np.arange(1, n, dtype=float)
-    rg = _gamma_recip_array(-rho * ks)
-    fac = np.cumprod(w / ks)
-    terms = np.where(ks % 2 == 0, fac, -fac) * rg
-    total, converged, clean = _fsum_with_guard(terms)
+    total, converged, clean = _alt_sum(t ** (-rho), 0.0, rho)
     if converged and clean:
         density = total / t
         if not math.isfinite(density):

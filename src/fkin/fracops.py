@@ -1,8 +1,9 @@
 """Weakly singular convolutions and related fractional-calculus operations.
 
-The central tool is product integration: on each cell of a (possibly
-graded) mesh the smooth part of the integrand is replaced by its linear
-interpolant while the power kernel ``(t-u)^p`` is integrated exactly.
+The central tool is product integration: on each cell of a mesh graded
+towards both ends the smooth part of the integrand is replaced by its
+linear interpolant while the power kernel ``(t-u)^p`` is integrated
+exactly, and the value is extrapolated from the mesh and its doubling.
 Kernels carrying a Mittag-Leffler modulator are integrated exactly too, by
 one rule for both meshes: ``_folded_lr`` folds the modulator series into
 the cell weights a block of terms at a time, each block one array of
@@ -22,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NonConvergence
-from .specfun import SeriesControls, _ml_table, _ml_values, gamma_recip
+from .specfun import (_SMALL_TERMS, SeriesControls, _ml_table, _ml_values,
+                      gamma_recip)
 
 __all__ = [
     "ConvolutionControls",
@@ -44,30 +46,29 @@ _BINOMIAL_TERMS = 24
 _FOLD_BLOCK = 16
 _FOLD_FAILURE = ("modulated kernel weights did not converge within the "
                  "series budget in double precision")
+# Cells of a graded mesh, at least, and its grading strength.
+_MIN_CELLS = 64
+_GRADING = 2
 
 
 @dataclass(frozen=True)
 class ConvolutionControls:
-    """Mesh and extrapolation policy for singular convolutions.
+    """Mesh density and series budget for singular convolutions.
 
-    ``points_per_unit`` fixes the cell count per unit of integration length
-    (never below ``min_points``).  ``grading`` is the mesh-grading strength;
-    1 gives an exactly uniform mesh.  With ``richardson`` the value is
-    recomputed on a doubled mesh and extrapolated, upgrading the O(h^2)
-    interpolation error of the product rule to O(h^4).
+    ``points_per_unit`` fixes the cell count per unit of integration length,
+    never below 64 cells.  The mesh is graded quadratically towards both
+    ends, and every value is recomputed on the doubled mesh and
+    extrapolated, upgrading the O(h^2) interpolation error of the product
+    rule to O(h^4).  ``series`` bounds the modulator terms folded into the
+    weights.
     """
 
     points_per_unit: int = 512
-    min_points: int = 64
-    grading: int = 2
-    richardson: bool = True
     series: SeriesControls = field(default_factory=SeriesControls)
 
     def __post_init__(self):
-        if self.points_per_unit < 1 or self.min_points < 2:
-            raise DomainError("cell counts must be positive")
-        if self.grading < 1:
-            raise DomainError("grading must be >= 1")
+        if self.points_per_unit < 1:
+            raise DomainError("points_per_unit must be positive")
 
 
 @dataclass(frozen=True)
@@ -151,17 +152,14 @@ def laplace_of_interpolant(sf: SampledFunction, s):
     return complex(total)
 
 
-def _graded_nodes(t, m, q):
+def _graded_nodes(t, m):
     xi = np.linspace(0.0, 1.0, m + 1)
-    if q == 1:
-        return t * xi
-    g = xi ** q / (xi ** q + (1.0 - xi) ** q)
+    g = xi ** _GRADING / (xi ** _GRADING + (1.0 - xi) ** _GRADING)
     return t * g
 
 
 def _cells_for(t, controls):
-    return max(controls.min_points,
-               int(math.ceil(controls.points_per_unit * t)))
+    return max(_MIN_CELLS, int(math.ceil(controls.points_per_unit * t)))
 
 
 def _eval_on(f, nodes):
@@ -271,8 +269,8 @@ def _folded_lr(lo, hi, power, mod, series):
     kernel is integrated exactly, in blocks of ``_FOLD_BLOCK`` terms: one
     :func:`_lr_weights` call per block, whose rows are accumulated into
     the running weights with ``cumsum``, in the order a term-by-term loop
-    adds them.  Stops at the first term where ``consecutive_small``
-    successive terms have added under 1e-17 of the weight mass; raises
+    adds them.  Stops at the first term where ``_SMALL_TERMS`` successive
+    terms have added under 1e-17 of the weight mass; raises
     ``NonConvergence`` when the terms leave double range, or when
     ``series.max_terms`` terms or the coefficients double precision can
     hold run out first.
@@ -306,7 +304,7 @@ def _folded_lr(lo, hi, power, mod, series):
                     raise NonConvergence(_FOLD_FAILURE)
                 if add <= 1e-17 * sc:
                     small += 1
-                    if small >= series.consecutive_small:
+                    if small >= _SMALL_TERMS:
                         return wl[i], wr[i]
                 else:
                     small = 0
@@ -317,38 +315,35 @@ def singular_convolution(f, t, power, modulator=None, controls=None,
                          n_cells=None):
     """``integral_0^t f(u) (t-u)^power modulator(t-u) du``.
 
-    ``power`` must exceed -1.  ``modulator`` may be None, an
-    :class:`MLModulator` (integrated exactly; ``NonConvergence`` when its
-    series cannot be folded), or any callable of the lag that is smooth at
-    zero (sampled at the nodes).  ``n_cells`` overrides
-    the automatic cell count; derivative stencils rely on that to keep one
+    ``power`` must exceed -1.  ``modulator`` may be None or an
+    :class:`MLModulator`, integrated exactly (``NonConvergence`` when its
+    series cannot be folded).  The value is extrapolated from the graded
+    mesh of ``n_cells`` cells and its doubling.  ``n_cells`` overrides the
+    automatic cell count; derivative stencils rely on that to keep one
     fixed mesh family across neighboring evaluation points.
     """
     if power <= -1.0:
         raise DomainError("kernel exponent must exceed -1")
-    if t < 0.0:
-        raise DomainError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise DomainError("t must be finite and nonnegative")
+    if modulator is not None and not isinstance(modulator, MLModulator):
+        raise DomainError("modulator must be None or an MLModulator")
     if t == 0.0:
         return 0.0
     c = controls if controls is not None else ConvolutionControls()
     m_cells = n_cells if n_cells is not None else _cells_for(t, c)
-    folded = modulator if isinstance(modulator, MLModulator) else None
 
     def level(m):
-        nodes = _graded_nodes(t, m, c.grading)
+        nodes = _graded_nodes(t, m)
         fs = _eval_on(f, nodes)
         x = t - nodes
-        wl, wr = _folded_lr(x[1:], x[:-1], power, folded, c.series)
-        if modulator is not None and folded is None:
-            fs = fs * np.asarray(modulator(x), dtype=float)
+        wl, wr = _folded_lr(x[1:], x[:-1], power, modulator, c.series)
         w = np.zeros_like(nodes)
         w[:-1] += wl
         w[1:] += wr
         return float(w @ fs)
 
-    if c.richardson:
-        return (4.0 * level(2 * m_cells) - level(m_cells)) / 3.0
-    return level(m_cells)
+    return (4.0 * level(2 * m_cells) - level(m_cells)) / 3.0
 
 
 def rl_integral(f, t, nu, controls=None, n_cells=None):
@@ -398,25 +393,24 @@ def rl_integral_grid(fs, dt, nu, series=None):
                                                        series=series)
 
 
-def ddt(g, t, scale=None, levels=2):
+def ddt(g, t):
     """Derivative of ``g`` at ``t`` by extrapolated central differences.
 
     ``g`` must be smooth on a neighborhood of ``t``; when ``t`` sits too
-    close to 0 a one-sided stencil is used instead.  ``scale`` sets the
-    base step ``scale * eps^(1/3)``; it defaults to ``max(|t|, 1)``.
-    Callers whose ``g`` is itself a quadrature must keep the mesh family
-    frozen across calls, otherwise the rule differences quadrature noise.
+    close to 0 a one-sided stencil is used instead.  The base step is
+    ``max(|t|, 1) eps^(1/3)``, halved twice, and the three differences are
+    Richardson-extrapolated.  Callers whose ``g`` is itself a quadrature
+    must keep the mesh family frozen across calls, otherwise the rule
+    differences quadrature noise.
     """
-    if levels < 1:
-        raise DomainError("levels must be >= 1")
-    h0 = (scale if scale is not None else max(abs(t), 1.0)) * _EPS ** (1.0 / 3.0)
-    if t > 4.0 * h0 * 2 ** (levels - 1):
+    h0 = max(abs(t), 1.0) * _EPS ** (1.0 / 3.0)
+    if t > 8.0 * h0:
         def diff(h):
             return (g(t + h) - g(t - h)) / (2.0 * h)
     else:
         def diff(h):
             return (-3.0 * g(t) + 4.0 * g(t + h) - g(t + 2.0 * h)) / (2.0 * h)
-    vals = [diff(h0 / 2 ** k) for k in range(levels + 1)]
+    vals = [diff(h0 / 2 ** k) for k in range(3)]
     fac = 4.0
     while len(vals) > 1:
         vals = [(fac * b - a) / (fac - 1.0) for a, b in zip(vals, vals[1:])]

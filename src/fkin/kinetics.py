@@ -61,6 +61,9 @@ _PATTERN_TOL = 1e-10
 # relative error past 1e-9 of the value.
 _CANCEL_LIMIT = 1e4
 
+# A time stops adding resolvent levels once two in a row move it by less.
+_LEVEL_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class Unit:
@@ -81,8 +84,8 @@ class PowerLaw:
     rho: float
 
     def __post_init__(self):
-        if self.rho <= 0.0:
-            raise DomainError("rho must be > 0")
+        if not 0.0 < self.rho < math.inf:
+            raise DomainError("rho must be positive and finite")
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -103,6 +106,9 @@ class MLForcing:
     c: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite,
+                       (self.nu, self.gamma_, self.delta, self.c))):
+            raise DomainError("nu, gamma_, delta and c must be finite")
         if self.nu <= 0.0 or self.gamma_ <= 0.0:
             raise DomainError("nu and gamma_ must be > 0")
         if self.c < 0.0:
@@ -176,22 +182,19 @@ class KineticProblem:
 class TruncationPolicy:
     """Budget for the resolvent level expansion of the general route.
 
-    Levels are added until two consecutive ones contribute below
-    ``rel_tol`` of the running solution scale; exceeding ``l_max`` raises
+    Levels are added until two consecutive ones contribute below 1e-13
+    of the running solution; exceeding ``l_max`` raises
     ``NonConvergence``, and a level with more than ``max_compositions``
     distinct kernel exponents raises ``ResourceError`` before it is
     evaluated.
     """
 
     l_max: int = 80
-    rel_tol: float = 1e-13
     max_compositions: int = 200_000
 
     def __post_init__(self):
         if self.l_max < 0:
             raise DomainError("l_max must be >= 0")
-        if not (0.0 < self.rel_tol < 1.0):
-            raise DomainError("rel_tol must lie in (0, 1)")
 
 
 def laplace_domain(problem: KineticProblem, s, _denominator_sign=1.0):
@@ -210,8 +213,8 @@ def laplace_domain(problem: KineticProblem, s, _denominator_sign=1.0):
 
 def _times(ts):
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if np.any(ts < 0.0):
-        raise DomainError("times must be nonnegative")
+    if not np.all((ts >= 0.0) & (ts < math.inf)):
+        raise DomainError("times must be finite and nonnegative")
     return ts
 
 
@@ -322,7 +325,7 @@ def _quadrature_expansion(problem, ts, controls=None, truncation=None,
 
 def _sum_levels(problem, ts, levels, level_sum, truncation):
     """Level zero, then with ``levels`` the resolvent levels at every
-    positive time until two in a row move it by under ``rel_tol``.
+    positive time until two in a row move it by under ``_LEVEL_TOL``.
 
     ``level_sum(pos, level, groups)`` returns a level's value and the
     magnitude it added; ``groups`` pairs each kernel exponent of the level
@@ -355,7 +358,7 @@ def _sum_levels(problem, ts, levels, level_sum, truncation):
         contrib, added = level_sum(pos, level, groups)
         vals[pos] += contrib
         mass[pos] += added
-        tiny = np.abs(contrib) <= policy.rel_tol * np.maximum(
+        tiny = np.abs(contrib) <= _LEVEL_TOL * np.maximum(
             np.abs(vals[pos]), 1e-290)
         small[pos] = np.where(tiny, small[pos] + 1, 0)
         active[pos] = small[pos] < 2
@@ -389,11 +392,11 @@ def solve_multiterm_grid(problem: KineticProblem, t_end, controls=None,
     every convolution evaluated by FFT over the whole grid, so
     whole-trajectory output is much cheaper than the pointwise route; as
     there, each grid time stops adding levels on its own once two in a
-    row move it by under ``truncation.rel_tol``.
+    row move it by under 1e-13 of its value.
     """
     controls = controls if controls is not None else ConvolutionControls()
-    if t_end <= 0.0:
-        raise DomainError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise DomainError("t_end must be positive and finite")
     n = _cells_for(t_end, controls)
     ts = t_end / n * np.arange(n + 1)
     return ts, _quadrature_expansion(problem, ts, controls, truncation,

@@ -65,6 +65,10 @@ _MP_FLOOR = mp.mpf("1e-330")
 # Terms the log-magnitude scan looks at to size the first pass.
 _SCAN_TERMS = 4096
 _LOG_MAX = math.log(float(np.finfo(float).max))
+# A series stops at the first run of _SMALL_TERMS successive terms below
+# _SERIES_TOL times its running sum.
+_SERIES_TOL = 1e-15
+_SMALL_TERMS = 3
 # Terms per block of the double Mittag-Leffler pass.
 _ML_BLOCK = 32
 # Widest block whose Kahan recurrence runs in Python floats.
@@ -73,24 +77,18 @@ _KAHAN_COLUMNS = 8
 
 @dataclass(frozen=True)
 class SeriesControls:
-    """Stopping policy for series summation.
+    """Term budget for series summation.
 
-    Summation stops once ``consecutive_small`` successive terms fall below
-    ``abs_tol`` times the running partial sum, and fails with
-    ``NonConvergence`` if that has not happened after ``max_terms`` terms.
+    Summation stops once three successive terms fall below 1e-15 times
+    the running partial sum, and fails with ``NonConvergence`` if that has
+    not happened after ``max_terms`` terms.
     """
 
     max_terms: int = 500
-    abs_tol: float = 1e-15
-    consecutive_small: int = 3
 
     def __post_init__(self):
         if self.max_terms < 1:
             raise DomainError("max_terms must be a positive integer")
-        if not (0.0 < self.abs_tol < 1.0):
-            raise DomainError("abs_tol must lie in (0, 1)")
-        if self.consecutive_small < 1:
-            raise DomainError("consecutive_small must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -182,13 +180,13 @@ class _Family(NamedTuple):
     s: object
 
 
-def _sum_extended(build, tol, count, budget, positive=False):
+def _sum_extended(build, tol, budget, positive=False):
     """Sum of the families ``build()`` returns, in extended precision.
 
     ``build`` forms the family constants at the precision it is called
     under, so no constant carries the rounding of a double into the
-    cancellation.  A family stops once ``count`` successive terms fall
-    below ``tol`` times its running sum, or below the working noise
+    cancellation.  A family stops once ``_SMALL_TERMS`` successive terms
+    fall below ``tol`` times its running sum, or below the working noise
     ``peak 10^(8-dps)``; ``tol=None`` is the working-precision tail cut
     ``10^(15-dps)``.  A family still summing after ``budget`` terms raises
     ``NonConvergence``.
@@ -235,7 +233,7 @@ def _sum_extended(build, tol, count, budget, positive=False):
                         peak = at
                     if at <= stop * max(abs(part), peak * cut):
                         small += 1
-                        if small >= count:
+                        if small >= _SMALL_TERMS:
                             break
                     else:
                         small = 0
@@ -295,7 +293,7 @@ def ml_prabhakar(p: MLParams, controls: SeriesControls | None = None) -> float:
         Function parameters and argument; requires ``beta > 0``,
         ``gamma_ > 0`` and ``|z|`` within the supported series radius.
     controls : SeriesControls, optional
-        Summation budget and stopping thresholds.
+        Summation term budget.
 
     Raises
     ------
@@ -413,7 +411,7 @@ def _ml_values(beta, gamma_, delta, zs, ctrl=None):
             totals, total, comp = _kahan(terms, total, comp)
             # the literal rule compares against the partial sum alone;
             # the floor terms keep it meaningful at zeros of the function
-            thr = ctrl.abs_tol * np.maximum(
+            thr = _SERIES_TOL * np.maximum(
                 np.maximum(np.abs(totals), _EPS * absums), 1e-290)
             # runs of small terms ending at each term, carried across blocks
             ks = np.arange(rows)[:, None]
@@ -421,7 +419,7 @@ def _ml_values(beta, gamma_, delta, zs, ctrl=None):
                 np.where(at <= thr, -1 - run, ks), axis=0)
             nxt = np.abs(nxt[:, None] * z)
             grows = (nxt >= np.abs(c)[:, None]) & (nxt > 0.0)
-            fire = (runs >= ctrl.consecutive_small) & ~grows
+            fire = (runs >= _SMALL_TERMS) & ~grows
             hit = fire.any(axis=0)
             cols = np.nonzero(hit)[0]
             first = fire[:, cols].argmax(axis=0)
@@ -450,7 +448,6 @@ def _ml_values(beta, gamma_, delta, zs, ctrl=None):
             return [_Family(1, mp.mpf(z), (mp.mpf(delta),), (1,),
                             mp.mpf(gamma_), mp.mpf(beta))]
 
-        value[i] = _sum_extended(build, ctrl.abs_tol, ctrl.consecutive_small,
-                                 ctrl.max_terms,
+        value[i] = _sum_extended(build, _SERIES_TOL, ctrl.max_terms,
                                  positive=z > 0.0 and delta > 0.0)
     return value.reshape(out_shape)

@@ -122,6 +122,21 @@ class TestRun:
         assert record["error"] == "ConfigError"
         assert record["message"]
 
+    @pytest.mark.parametrize("text", ["Infinity", "NaN", "1" + "0" * 400])
+    def test_non_finite_number(self, tmp_path, capsys, text):
+        # the JSON reader accepts NaN and Infinity, and a long integer
+        # overflows a double: each is a configuration error, not NaN rows
+        payload = kinetic_payload()
+        payload["problem"]["forcing"] = {"type": "power", "rho": 0.5}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload).replace("0.5", text),
+                        encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "finite" in record["message"]
+        assert not (tmp_path / "o.csv").exists()
+
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent/cfg.json"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"

@@ -258,6 +258,15 @@ class TestStableDensity:
     lambda: DiffusionProblem(0.5, 1.0, 4),
     lambda: fundamental_solution(DiffusionProblem(0.5, 1.0, 1), 1.0, 0.0),
     lambda: fundamental_solution(DiffusionProblem(0.5, 1.0, 1), -1.0, 1.0),
+    # non-finite times and radii are rejected before any series runs
+    lambda: fundamental_solution(DiffusionProblem(0.5, 1.0, 1), math.nan, 1.0),
+    lambda: fundamental_solution(DiffusionProblem(0.5, 1.0, 3), math.inf, 1.0),
+    lambda: fundamental_solution(DiffusionProblem(0.5, 1.0, 1), 1.0, math.nan),
+    lambda: fundamental_solution(DiffusionProblem(0.5, 1.0, 1), 1.0, math.inf),
+    lambda: levy_density(StableParams(0.5), math.nan),
+    lambda: levy_density(StableParams(0.5), math.inf),
+    lambda: asymptotic_n2(0.5, math.nan, 1.0),
+    lambda: asymptotic_n2(0.5, 0.5, math.inf),
 ])
 def test_problem_validation(bad):
     with pytest.raises(DomainError):

@@ -323,7 +323,12 @@ def test_residual_shrinks_with_mesh():
     lambda: binomial_problem(1, 0, 0.5, 0.5, Unit()),
     lambda: geometric_problem(1, 2, 0.5, 0.0, Unit()),
     lambda: TruncationPolicy(l_max=-1),
-    lambda: TruncationPolicy(rel_tol=0.0),
+    # non-finite forcing parameters would otherwise give NaN or zero rows
+    lambda: PowerLaw(math.inf),
+    lambda: PowerLaw(math.nan),
+    lambda: MLForcing(0.5, math.inf, 1.0, 0.5),
+    lambda: MLForcing(math.nan, 2.0, 1.5, 0.5),
+    lambda: MLForcing(0.5, 2.0, 1.5, math.inf),
 ])
 def test_problem_validation(bad):
     with pytest.raises(DomainError):
@@ -334,5 +339,11 @@ def test_negative_times_rejected():
     p = KineticProblem(1, (0.5,), (1.0,), Unit())
     with pytest.raises(DomainError):
         solve_single_term(p, np.array([-1.0]))
+    # non-finite times are rejected before any series runs
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            solve_single_term(p, np.array([1.0, bad]))
+        with pytest.raises(DomainError):
+            solve_multiterm_grid(p, bad)
     with pytest.raises(DomainError):
         solve_single_term(p, np.array([1.0]), via="bogus")

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from fkin.errors import DomainError, NonConvergence
-from fkin.specfun import (_EPS, _GUARD_FACTOR, _GUARD_REL, MLParams,
-                          SeriesControls, _Family, _ml_table, _ml_values,
-                          _sum_extended, gamma_recip, ml_one, ml_prabhakar,
-                          ml_two, pochhammer)
+from fkin.specfun import (_EPS, _GUARD_FACTOR, _GUARD_REL, _SERIES_TOL,
+                          _SMALL_TERMS, MLParams, SeriesControls, _Family,
+                          _ml_table, _ml_values, _sum_extended, gamma_recip,
+                          ml_one, ml_prabhakar, ml_two, pochhammer)
 
 # reference constants frozen from extended-precision series runs
 # (explicit term loops, 60+ digits, termination on 4 consecutive
@@ -184,10 +184,10 @@ def _ml_values_by_term(beta, gamma_, delta, zs, ctrl):
             t = total + y
             comp = (t - total) - y
             total = t
-            thr = ctrl.abs_tol * np.maximum(
+            thr = _SERIES_TOL * np.maximum(
                 np.maximum(np.abs(total), _EPS * absum), 1e-290)
             small = np.where(at <= thr, small + 1, 0)
-            fire = small == ctrl.consecutive_small
+            fire = small == _SMALL_TERMS
             nxt = np.abs((coeffs[k + 1] if k + 1 < len(coeffs)
                           else math.inf) * zs)
             grows = fire & (nxt >= abs(c)) & (nxt > 0.0)
@@ -212,8 +212,7 @@ def _ml_values_by_term(beta, gamma_, delta, zs, ctrl):
             return [_Family(1, mp.mpf(z), (mp.mpf(delta),), (1,),
                             mp.mpf(gamma_), mp.mpf(beta))]
 
-        value[i] = _sum_extended(build, ctrl.abs_tol, ctrl.consecutive_small,
-                                 ctrl.max_terms,
+        value[i] = _sum_extended(build, _SERIES_TOL, ctrl.max_terms,
                                  positive=z > 0.0 and delta > 0.0)
     return value
 
@@ -335,7 +334,6 @@ def test_growing_terms_do_not_fire_the_rule():
     lambda: MLParams(0.5, 0.0, 1.0, 0.0),
     lambda: MLParams(0.5, 1.0, 1.0, math.nan),
     lambda: SeriesControls(max_terms=0),
-    lambda: SeriesControls(abs_tol=0.0),
 ])
 def test_parameter_validation(bad):
     with pytest.raises(DomainError):
