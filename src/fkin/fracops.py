@@ -369,7 +369,11 @@ def singular_convolution_grid(fs, dt, power, modulator=None, series=None):
 
     if power <= -1.0:
         raise DomainError("kernel exponent must exceed -1")
+    if not 0.0 < dt < math.inf:
+        raise DomainError("dt must be finite and positive")
     fs = np.asarray(fs, dtype=float)
+    if not np.all(np.isfinite(fs)):
+        raise DomainError("samples must be finite")
     n = fs.size - 1
     if n < 1:
         return np.zeros_like(fs)

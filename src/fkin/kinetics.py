@@ -17,6 +17,7 @@ with every term a singular convolution of the forcing.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -204,6 +205,8 @@ def laplace_domain(problem: KineticProblem, s, _denominator_sign=1.0):
     inject a sign fault and prove the oracle comparison catches it.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError("s must be finite")
     if s == 0:
         raise DomainError("the image has a singularity at s = 0")
     denom = 1.0 + _denominator_sign * sum(

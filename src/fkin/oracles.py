@@ -127,10 +127,10 @@ def forward_laplace(f, s, head_power=0.0, t_max=None, abs_tol=1e-12,
     a :class:`TruncationWarning` is emitted.  Loosening ``rel_tol`` stops
     subdivision earlier, which matters when ``f`` is expensive.
     """
-    if s <= 0.0:
-        raise DomainError("the quadrature route needs real s > 0")
-    if head_power <= -1.0:
-        raise DomainError("head_power must exceed -1")
+    if not 0.0 < s < math.inf:
+        raise DomainError("the quadrature route needs real finite s > 0")
+    if not -1.0 < head_power < math.inf:
+        raise DomainError("head_power must be finite and exceed -1")
     if not 0.0 < rel_tol < 1.0:
         raise DomainError("rel_tol must lie in (0, 1)")
     upper = t_max if t_max is not None else max(1.0, 45.0 / s)

@@ -8,10 +8,17 @@ stopped by its own rule and checked by a rounding-noise guard against its
 summed term magnitudes.  Entries that fail the guard go to
 ``_sum_extended``, the one extended-precision engine, which also rescues
 the residue series of :mod:`fkin.diffusion`: it sums families of terms
-``P_k rgamma(g0 + s k)`` whose ``P_k`` follow ratio recurrences, sizes its
-first pass from a double scan of the log term magnitudes, and certifies a
-pass only when its working noise is below 1e-19 of the total (with an
-absolute floor below the double range), escalating the digits otherwise.
+``c x^k C_k``, where the coefficients ``C_k = prod(a)_k / prod(b)_k
+rgamma(g0 + s k)`` do not depend on ``x``, sizes its first pass from a
+double scan of the log term magnitudes, and certifies a pass only when its
+working noise is below 1e-19 of the total (with an absolute floor below
+the double range), escalating the digits otherwise.  The rescued entries
+of one ``_ml_values`` call differ only in ``x``, so they share one table of
+``C_k`` per working precision, built as the terms ask for it and dropped
+when the call returns; their digits are rounded up to multiples of 10 so
+nearby entries meet on one precision, and each entry still picks its
+digits alone, so its value does not depend on its batch.  Lone sums (the
+diffusion residues) keep their exact digits.
 No asymptotic expansions are used, so arguments far outside the supported
 radius raise ``NonConvergence`` instead of silently degrading.
 """
@@ -62,6 +69,9 @@ _MP_PASSES = 4
 # zero in double (the smallest subnormal is 4.9e-324).
 _MP_CERT = 1e-19
 _MP_FLOOR = mp.mpf("1e-330")
+# The digits of every pass of a sum that shares a coefficient table are
+# rounded up to a multiple of this.
+_DPS_STEP = 10
 # Terms the log-magnitude scan looks at to size the first pass.
 _SCAN_TERMS = 4096
 _LOG_MAX = math.log(float(np.finfo(float).max))
@@ -168,9 +178,10 @@ def _log_abs_rgamma(g):
 
 
 class _Family(NamedTuple):
-    """Terms ``P_k rgamma(g0 + s k)`` of an extended-precision sum, with
-    ``P_0 = c`` and ``P_(k+1) = P_k x prod(a + k, a in nums) /
-    prod(b + k, b in dens)``."""
+    """Terms ``c x^k C_k`` of an extended-precision sum, with the
+    coefficients ``C_k = prod(a)_k / prod(b)_k rgamma(g0 + s k)``
+    (``a`` in ``nums``, ``b`` in ``dens``), which do not depend on ``c``
+    or ``x``."""
 
     c: object
     x: object
@@ -180,16 +191,38 @@ class _Family(NamedTuple):
     s: object
 
 
-def _sum_extended(build, tol, budget, positive=False):
+class _Coefficients:
+    """The ``C_k`` of one family at one working precision, extended as
+    terms ask for them: ``C_k = Q_k rgamma(g0 + s k)``, ``Q_0 = 1`` and
+    ``Q_(k+1) = Q_k prod(a + k) / prod(b + k)``."""
+
+    def __init__(self, f):
+        self.f = f
+        self.values = []
+        self.q = mp.mpf(1)
+
+    def extend(self):
+        f, k = self.f, len(self.values)
+        self.values.append(self.q * mp.rgamma(f.g0 + f.s * k))
+        for a in f.nums:
+            self.q *= a + k
+        for b in f.dens:
+            self.q /= b + k
+
+
+def _sum_extended(build, tol, budget, positive=False, shared=None):
     """Sum of the families ``build()`` returns, in extended precision.
 
     ``build`` forms the family constants at the precision it is called
     under, so no constant carries the rounding of a double into the
-    cancellation.  A family stops once ``_SMALL_TERMS`` successive terms
-    fall below ``tol`` times its running sum, or below the working noise
-    ``peak 10^(8-dps)``; ``tol=None`` is the working-precision tail cut
-    ``10^(15-dps)``.  A family still summing after ``budget`` terms raises
-    ``NonConvergence``.
+    cancellation.  Term ``k`` of a family is ``(c x^k) C_k``: the power
+    steps by ``x``, and the coefficients ``C_k``, the part that does not
+    depend on ``x``, come from a table keyed by the working digits and
+    ``(nums, dens, g0, s)``, extended as ``k`` grows.  A family stops once
+    ``_SMALL_TERMS`` successive terms fall below ``tol`` times its running
+    sum, or below the working noise ``peak 10^(8-dps)``; ``tol=None`` is
+    the working-precision tail cut ``10^(15-dps)``.  A family still
+    summing after ``budget`` terms raises ``NonConvergence``.
 
     A double scan of the log term magnitudes sizes the first pass at 30
     digits past the peak term.  A pass is certified when its working
@@ -199,6 +232,14 @@ def _sum_extended(build, tol, budget, positive=False):
     _MP_FLOOR`` while the total is noise), and at least twice the digits
     of the last.  With ``positive`` every term is positive, and a peak
     term past the double range gives ``inf`` without a pass.
+
+    ``shared`` is a coefficient table (a dict) the caller hands to every
+    sum of one batch, so sums that differ only in ``c`` and ``x`` compute
+    each ``C_k`` once.  With a table every pass rounds its digits up to a
+    multiple of ``_DPS_STEP``, so sums whose peaks differ by a few digits
+    meet on one precision; the digits still depend on the sum alone, so a
+    value does not depend on its batch.  Without one the sum keeps its
+    exact digits and a table of its own, dropped when it returns.
     """
     ks = np.arange(min(budget, _SCAN_TERMS), dtype=float)
     log_peak = -math.inf
@@ -215,18 +256,31 @@ def _sum_extended(build, tol, budget, positive=False):
                 log_peak = max(log_peak, float(np.max(finite)))
     if positive and log_peak > _LOG_MAX:
         return math.inf
-    dps = min(_MAX_DPS, 30 + int(max(log_peak, 0.0) / math.log(10.0)))
+    step = 1 if shared is None else _DPS_STEP
+    table = {} if shared is None else shared
+
+    def digits(d):
+        return min(_MAX_DPS, -(-d // step) * step)
+
+    dps = digits(30 + int(max(log_peak, 0.0) / math.log(10.0)))
     for _ in range(_MP_PASSES):
         with mp.workdps(dps):
             cut = mp.mpf(10) ** (8 - dps)
             stop = mp.mpf(10) ** (15 - dps) if tol is None else mp.mpf(tol)
             total = peak = mp.mpf(0)
             for f in build():
+                key = (dps, f.nums, f.dens, f.g0, f.s)
+                coeffs = table.get(key)
+                if coeffs is None:
+                    coeffs = table[key] = _Coefficients(f)
+                cs = coeffs.values
                 part = mp.mpf(0)
                 p = f.c
                 small = 0
                 for k in range(budget):
-                    term = p * mp.rgamma(f.g0 + f.s * k)
+                    if k == len(cs):
+                        coeffs.extend()
+                    term = p * cs[k]
                     part += term
                     at = abs(term)
                     if at > peak:
@@ -237,12 +291,7 @@ def _sum_extended(build, tol, budget, positive=False):
                             break
                     else:
                         small = 0
-                    ratio = f.x
-                    for a in f.nums:
-                        ratio *= a + k
-                    for b in f.dens:
-                        ratio /= b + k
-                    p *= ratio
+                    p *= f.x
                 else:
                     raise NonConvergence(
                         "series did not satisfy its stopping rule within "
@@ -255,7 +304,7 @@ def _sum_extended(build, tol, budget, positive=False):
             needed = 30 + int(mp.log10(peak / scale))
         if dps >= _MAX_DPS:
             break
-        dps = min(_MAX_DPS, max(needed, 2 * dps))
+        dps = digits(max(needed, 2 * dps))
     raise NonConvergence(
         "cancellation exceeds the supported extended-precision budget")
 
@@ -441,6 +490,8 @@ def _ml_values(beta, gamma_, delta, zs, ctrl=None):
                 "Mittag-Leffler series did not satisfy the stopping rule "
                 f"within max_terms={ctrl.max_terms}")
         rescue[pos] = True
+    # one coefficient table for the rescued entries of this call only
+    shared = {}
     for i in np.nonzero(rescue)[0]:
         z = float(zs[i])
 
@@ -449,5 +500,6 @@ def _ml_values(beta, gamma_, delta, zs, ctrl=None):
                             mp.mpf(gamma_), mp.mpf(beta))]
 
         value[i] = _sum_extended(build, _SERIES_TOL, ctrl.max_terms,
-                                 positive=z > 0.0 and delta > 0.0)
+                                 positive=z > 0.0 and delta > 0.0,
+                                 shared=shared)
     return value.reshape(out_shape)

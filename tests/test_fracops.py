@@ -136,6 +136,19 @@ class TestGridVariants:
             ref = singular_convolution(lambda u: math.exp(-u), float(gs[k]), -0.5)
             assert rel(out[k], ref) < 1e-5
 
+    @pytest.mark.parametrize("grid", [
+        lambda fs, dt: singular_convolution_grid(fs, dt, -0.5),
+        lambda fs, dt: rl_integral_grid(fs, dt, 0.7),
+    ], ids=["convolution", "rl-integral"])
+    @pytest.mark.parametrize("fs, dt", [
+        (np.ones(9), math.nan),
+        (np.ones(9), math.inf),
+        (np.array([1.0, math.nan, 1.0]), 0.125),
+    ], ids=["nan-dt", "inf-dt", "nan-sample"])
+    def test_grid_rejects_non_finite_input(self, grid, fs, dt):
+        with pytest.raises(DomainError):
+            grid(fs, dt)
+
 
 @pytest.mark.parametrize("mod, series", [
     (MLModulator(0.9, 0.7, 1.2, -0.8), SeriesControls(max_terms=2)),

@@ -45,6 +45,13 @@ class TestLaplaceDomain:
         s = 1.0 + 2.0j
         assert abs(laplace_domain(p, s) - 1.0 / (s + 1.0)) < 1e-14
 
+    @pytest.mark.parametrize("s", [math.nan, complex(1.0, math.nan),
+                                   math.inf])
+    def test_non_finite_argument_rejected(self, s):
+        p = KineticProblem(1, (0.5,), (1.0,), Unit())
+        with pytest.raises(DomainError):
+            laplace_domain(p, s)
+
 
 class TestForcings:
     def test_power_law_time_and_image(self):

@@ -54,6 +54,12 @@ class TestForward:
         with pytest.raises(DomainError):
             forward_laplace(lambda t: 1.0, 1.0, head_power=-1.0)
 
+    @pytest.mark.parametrize("s, head_power", [
+        (math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan)])
+    def test_non_finite_argument_rejected(self, s, head_power):
+        with pytest.raises(DomainError):
+            forward_laplace(lambda t: math.exp(-t), s, head_power=head_power)
+
 
 class TestInvert:
     def test_pole_pair(self):

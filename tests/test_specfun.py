@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fkin import specfun
 from fkin.errors import DomainError, NonConvergence
 from fkin.specfun import (_EPS, _GUARD_FACTOR, _GUARD_REL, _SERIES_TOL,
                           _SMALL_TERMS, MLParams, SeriesControls, _Family,
@@ -205,6 +206,7 @@ def _ml_values_by_term(beta, gamma_, delta, zs, ctrl):
         if n == ctrl.max_terms and np.any(~fired & np.isfinite(total)):
             raise NonConvergence("reference pass did not converge")
         rescue |= ~fired
+    shared = {}
     for i in np.nonzero(rescue)[0]:
         z = float(zs[i])
 
@@ -213,7 +215,8 @@ def _ml_values_by_term(beta, gamma_, delta, zs, ctrl):
                             mp.mpf(gamma_), mp.mpf(beta))]
 
         value[i] = _sum_extended(build, _SERIES_TOL, ctrl.max_terms,
-                                 positive=z > 0.0 and delta > 0.0)
+                                 positive=z > 0.0 and delta > 0.0,
+                                 shared=shared)
     return value
 
 
@@ -249,6 +252,83 @@ def test_blocked_pass_raises_where_the_loop_does():
             _ml_values_by_term(0.5, 1.0, 1.0, zs, ctrl)
         with pytest.raises(NonConvergence, match="max_terms"):
             _ml_values(0.5, 1.0, 1.0, zs, ctrl)
+
+
+def _count_calls(monkeypatch, name):
+    """Counts the calls of ``mpmath.<name>`` from here on."""
+    calls = []
+    original = getattr(mp, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mp, name, counted)
+    return calls
+
+
+def _rescued(monkeypatch):
+    """Counts the extended-precision sums ``_ml_values`` starts."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _sum_extended(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_sum_extended", counted)
+    return calls
+
+
+def test_shared_table_does_not_change_values(monkeypatch):
+    # the rescued entries of a batch share one coefficient table across
+    # several working precisions; each keeps the value of its own call
+    zs = np.linspace(-2.0, -7.0, 11)
+    sums = _rescued(monkeypatch)
+    passes = _count_calls(monkeypatch, "workdps")
+    for beta, gamma_, delta in ((0.5, 1.5, 2.0), (0.75, 1.5, 3.5)):
+        del sums[:]
+        got = _ml_values(beta, gamma_, delta, zs)
+        assert len(sums) == zs.size
+        for z, v in zip(zs, got):
+            one = _ml_values(beta, gamma_, delta, [z])
+            assert v.tobytes() == one[0].tobytes(), (beta, gamma_, delta, z)
+    digits = {args[0] for args in passes}
+    assert len(digits) > 1 and all(d % 10 == 0 for d in digits)
+
+
+def test_rescued_half_order_matches_erfcx(monkeypatch):
+    # E_(1/2)(z) = erfcx(-z) = exp(z^2) erfc(-z)
+    zs = np.linspace(-8.0, -2.0, 13)
+    sums = _rescued(monkeypatch)
+    got = _ml_values(0.5, 1.0, 1.0, zs)
+    assert len(sums) == zs.size
+    with mp.workdps(60):
+        for z, v in zip(zs, got):
+            ref = mp.exp(mp.mpf(z) ** 2) * mp.erfc(-mp.mpf(z))
+            assert abs((v - ref) / ref) < 1e-15, z
+
+
+def test_rescued_entries_share_their_coefficients(monkeypatch):
+    zs = np.arange(-2.0, -8.0, -1.0)
+    sums = _rescued(monkeypatch)
+    calls = _count_calls(monkeypatch, "rgamma")
+    _ml_values(0.75, 1.5, 3.5, zs)
+    assert len(sums) == zs.size
+    batch = len(calls)
+    del calls[:]
+    for z in zs:
+        _ml_values(0.75, 1.5, 3.5, [z])
+    assert 0 < batch < len(calls) / 2
+
+
+def test_coefficient_table_lives_for_one_call(monkeypatch):
+    zs = np.arange(-2.0, -8.0, -1.0)
+    calls = _count_calls(monkeypatch, "rgamma")
+    first = _ml_values(0.75, 1.5, 3.5, zs)
+    once = len(calls)
+    second = _ml_values(0.75, 1.5, 3.5, zs)
+    assert once > 0 and len(calls) == 2 * once
+    assert first.tobytes() == second.tobytes()
 
 
 def test_reduction_chain():

@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import fkin
+import fkin.cli
 from fkin import ConvolutionControls, KineticProblem, Unit
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -45,3 +46,32 @@ def test_route_labels_match_the_tracer():
     # the tracer reports one time per route label, plus the grid solve
     tracing = _load_tracing()
     assert sorted([*fkin.kinetics.ROUTES, "grid"]) == sorted(tracing.ROUTES)
+
+
+def test_tracer_counts_extended_precision_work():
+    # the tracer counts mpmath.rgamma through the module attribute; a local
+    # binding of it in fkin would zero the counters without an error
+    tracing = _load_tracing()
+    kinetic = {"schema_version": 1, "mode": "kinetic",
+               "problem": {"n0": 1.0, "nus": [0.5], "rates": [1.0],
+                           "forcing": {"type": "unit"}},
+               "time_grid": {"start": 4.0, "stop": 36.0, "count": 5},
+               "solver_selector": "auto", "output_path": "kinetic.csv"}
+    series = {"schema_version": 1, "mode": "specfun-eval",
+              "problem": {"beta": 0.5, "gamma": 1.0, "delta": 1.0},
+              "space_grid": {"start": -6.0, "stop": -2.0, "count": 5},
+              "output_path": "series.csv"}
+    for config in (kinetic, series):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            fkin.cli.execute(fkin.cli.parse_config(config))
+        finally:
+            tracer.uninstall()
+        # every point is rescued in extended precision
+        counted = sum(n for name, n in tracer.counts.items()
+                      if name.endswith(".mp_rgamma.calls"))
+        assert counted > 0, config["mode"]
+        if config is kinetic:
+            # the closed route's series runs under a specfun span
+            assert tracer.counts["specfun.mp_rgamma.calls"] > 0
