@@ -243,13 +243,11 @@ def execute(config):
             values = np.asarray(solver(config.problem, config.time_grid))
             return ("t", "value"), list(zip(config.time_grid, values))
         if config.mode == "diffusion":
-            values = [fundamental_solution(config.problem, float(x),
-                                           config.time)
-                      for x in config.space_grid]
+            values = fundamental_solution(config.problem, config.space_grid,
+                                          config.time)
             return ("x", "value"), list(zip(config.space_grid, values))
         if config.mode == "levy":
-            values = [levy_density(config.problem, float(t))
-                      for t in config.time_grid]
+            values = levy_density(config.problem, config.time_grid)
             return ("t", "value"), list(zip(config.time_grid, values))
         if config.mode == "specfun-eval":
             beta, gamma_, delta = config.problem

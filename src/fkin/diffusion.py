@@ -7,23 +7,30 @@ logarithmic asymptote), never a general H-function engine.  The one-sided
 stable density that subordinates the process is a power series the same
 way.
 
-Deep in the spatial tail, and for the stable density at small times, those
-alternating series lose all their leading digits to cancellation.  There
-the values come from Kanter's representation of the stable density
-(Kanter 1975, Ann. Probab. 3:697), whose integrand is positive, so nothing
+Away from the source, and for the stable density at small times, those
+alternating series lose their leading digits to cancellation.  There the
+values come from Kanter's representation of the stable density (Kanter
+1975, Ann. Probab. 3:697), whose integrand is positive, so nothing
 cancels.  Through the M-Wright relation (Mainardi, Mura and Pagnini 2010,
 Int. J. Differ. Equ. 2010:104505) the same integral gives the
 one-dimensional solution, and differentiating under it the
-three-dimensional one.  The solutions switch to it past eight diffusion
-lengths, ``B = x^2/(4 D t^alpha) > 16``; the stable density wherever its
+three-dimensional one.  The solutions switch to it past two diffusion
+lengths, ``B = x^2/(4 D t^alpha) > 1``; the stable density wherever its
 series fails its rounding guard.  The integral is certified by two
 Gauss-Legendre rules that must agree, so every returned value is
-trustworthy or an exception.  A residue series that fails its
-double-precision rounding guard (the bulk solution for alpha near 1, and
-the explicit one- and three-dimensional series that serve as the
-cross-check of both routes) is re-summed by the one extended-precision
-engine of :mod:`fkin.specfun`, with its tails cut at the working
-precision.
+trustworthy or an exception.  Up to the switch the two residue families
+of the solution cancel each other too little to fail their joint
+double-precision rounding guard, so the bulk is served in double
+precision, and a sum that fails it raises ``NonConvergence``.  Only the
+explicit one- and three-dimensional series, which serve as the
+cross-check of both routes, are re-summed by the one extended-precision
+engine of :mod:`fkin.specfun` when they fail their guard, with their
+tails cut at the working precision.
+
+Both solutions and the stable density take a 1-D array of radii or
+times as well as one point.  The coefficients of their series do not
+depend on the point, so one call builds them once for all its points and
+drops them on return; each value is that of the call at its point alone.
 """
 
 from __future__ import annotations
@@ -57,10 +64,13 @@ _MAX_A = 4096.0
 _BUDGET = 2000
 _MP_BUDGET = 20000
 _STOP_TOL = 1e-16
+# exp of anything below this rounds to zero in double
+_LOG_UNDERFLOW = -746.0
 
-# past B = x^2/(4 D t^alpha) = 16, eight diffusion lengths, the one- and
-# three-dimensional solutions come from Kanter's integral, not the series
-_KANTER_B = 16.0
+# past B = x^2/(4 D t^alpha) = 1, two diffusion lengths, the one- and
+# three-dimensional solutions come from Kanter's integral, not the series;
+# below it the residue families cancel too little to fail their guard
+_KANTER_B = 1.0
 # Kanter panels end where c (A - A(0)) reaches these levels; the last one
 # cuts the integral where the integrand has fallen by e^-60
 _KANTER_LEVELS = (1.0, 3.0, 7.0, 14.0, 25.0, 40.0, 60.0)
@@ -107,35 +117,45 @@ def _budget_for(slope):
 
 
 def _fsum_with_guard(terms):
-    """(value, converged, clean) for an alternating tail-stopped array."""
+    """(value, converged, clean) for alternating tail-stopped series, one
+    per row of ``terms``: the rows are summed together, each must end
+    below the stopping tolerance of that sum, and the rounding guard
+    weighs their summed magnitude against it, so rows that cancel each
+    other fail it."""
     if not np.all(np.isfinite(terms)):
         return 0.0, False, False
-    total = math.fsum(terms)
+    total = math.fsum(terms.ravel())
     absum = float(np.sum(np.abs(terms)))
     scale = max(abs(total), _EPS * absum, 1e-300)
-    tail = np.abs(terms[-3:])
+    tail = np.abs(terms[..., -3:])
     converged = bool(np.all(tail <= _STOP_TOL * scale))
     clean = _GUARD_FACTOR * _EPS * absum <= _GUARD_REL * abs(total)
     return total, converged, clean
 
 
-def _alt_sum(w, g0, slope):
-    """:func:`_fsum_with_guard` of ``sum_m (-w)^m rgamma(g0 - slope m) / m!``
-    in double precision, over the term budget of ``slope``."""
-    n = _budget_for(slope)
+def _alt_coefficients(g0, slope):
+    """``rgamma(g0 - slope m)`` over the term budget of ``slope``: the part
+    of the terms of :func:`_alt_sum` that does not depend on ``w``."""
+    ms = np.arange(_budget_for(slope), dtype=float)
+    return _gamma_recip_array(g0 - slope * ms)
+
+
+def _alt_sum(w, rg):
+    """:func:`_fsum_with_guard` of ``sum_m (-w)^m rg[m] / m!`` in double
+    precision, with ``rg`` from :func:`_alt_coefficients`."""
+    n = rg.size
     ms = np.arange(n, dtype=float)
     fac = np.ones(n)
     fac[1:] = np.cumprod(w / ms[1:])
-    terms = np.where(ms % 2 == 0, fac, -fac) \
-        * _gamma_recip_array(g0 - slope * ms)
+    terms = np.where(ms % 2 == 0, fac, -fac) * rg
     return _fsum_with_guard(terms)
 
 
 def _alt_series(alpha, A, drop):
     """sum_m (-sqrt(A))^m rgamma(1 - drop alpha - alpha m/2) / m!, re-summed
     in extended precision when the double sum fails its guard."""
-    total, converged, clean = _alt_sum(math.sqrt(A), 1.0 - drop * alpha,
-                                       alpha / 2.0)
+    total, converged, clean = _alt_sum(
+        math.sqrt(A), _alt_coefficients(1.0 - drop * alpha, alpha / 2.0))
     if converged and clean:
         return total
 
@@ -202,56 +222,57 @@ def asymptotic_n2(alpha, x, t):
             / (2.0 * math.pi * t ** alpha))
 
 
-def _two_sum(alpha, n_dim, B):
-    """The double pole-residue series of the contour solution.
-
-    ``sum_l (-1)^l Gamma(1-n/2-l) B^(n/2+l) rg(1-alpha n/2-alpha l)/l!
-    + sum_l (-1)^l Gamma(n/2-1-l) B^(1+l) rg(1-alpha-alpha l)/l!``
-    evaluated through log magnitudes so no intermediate factor overflows.
-    """
+def _residue_coefficients(alpha, n_dim):
+    """The parts of the terms of :func:`_two_sum` that do not depend on
+    ``B``, one row per residue family: the powers ``p0 + l`` of ``B`` and
+    the log magnitudes and signs of
+    ``(-1)^l Gamma(c0 - l) rg(d0 - alpha l) / l!``."""
     fams = (
         (1.0 - n_dim / 2.0, n_dim / 2.0, 1.0 - alpha * n_dim / 2.0),
         (n_dim / 2.0 - 1.0, 1.0, 1.0 - alpha),
     )
-    total = 0.0
-    all_conv = True
-    all_clean = True
-    logw = math.log(B) if B > 0.0 else -math.inf
-    n = _budget_for(alpha)
-    ls = np.arange(n, dtype=float)
+    ls = np.arange(_budget_for(alpha), dtype=float)
+    powers, logs, signs = [], [], []
     for c0, p0, d0 in fams:
         # numerator gamma sits on half-integers for odd n: never a pole
         cn = c0 - ls
         gd = d0 - alpha * ls
         rg = _gamma_recip_array(gd)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = (p0 + ls) * logw + _sc.gammaln(cn) \
-                - _sc.gammaln(ls + 1.0) + _log_abs_rgamma(gd)
-        logs[rg == 0.0] = -math.inf
-        signs = np.where(ls % 2 == 0, 1.0, -1.0) * _sc.gammasgn(cn) \
-            * np.where(gd > 0.0, 1.0, _sc.gammasgn(gd))
-        terms = signs * np.exp(logs)
-        val, converged, clean = _fsum_with_guard(terms)
-        total += val
-        all_conv = all_conv and converged
-        all_clean = all_clean and clean
-    if all_conv and all_clean:
-        return total
+        log = _sc.gammaln(cn) - _sc.gammaln(ls + 1.0) + _log_abs_rgamma(gd)
+        log[rg == 0.0] = -math.inf
+        powers.append(p0 + ls)
+        logs.append(log)
+        # rg, not gammasgn(gd): that is NaN at the poles where rg is 0
+        signs.append(np.where(ls % 2 == 0, 1.0, -1.0) * _sc.gammasgn(cn)
+                     * np.sign(rg))
+    powers, logs = np.array(powers), np.array(logs)
+    # drop the trailing terms that are exactly zero in double at every B up
+    # to the switch to Kanter's integral
+    n = np.flatnonzero(np.any(logs + powers * math.log(_KANTER_B)
+                              >= _LOG_UNDERFLOW, axis=0))[-1] + 1
+    return powers[:, :n], logs[:, :n], np.array(signs)[:, :n]
 
-    def build():
-        # P_0 = Gamma(c0) B^p0, P_(l+1) = P_l B / ((l+1-c0)(l+1)); the
-        # constants are formed here, not taken from the double tuples:
-        # 1 - 0.45 rounds in double, and the cancellation amplifies that
-        # one ulp past the tail values themselves
-        Bm, alm, half = mp.mpf(B), mp.mpf(alpha), mp.mpf(n_dim) / 2
-        return [_Family(mp.gamma(c0) * Bm ** p0, Bm, (), (1 - c0, 1), d0,
-                        -alm)
-                for c0, p0, d0 in ((1 - half, half, 1 - alm * half),
-                                   (half - 1, 1, 1 - alm))]
 
-    # the family totals cancel against each other, so each family's tail
-    # is cut at the working precision, not relative to its own sum
-    return _sum_extended(build, None, _MP_BUDGET)
+def _two_sum(coeffs, B):
+    """The double pole-residue series of the contour solution, at
+    ``0 <= B <= _KANTER_B``, the range whose nonzero terms the
+    coefficients keep.
+
+    ``sum_l (-1)^l Gamma(1-n/2-l) B^(n/2+l) rg(1-alpha n/2-alpha l)/l!
+    + sum_l (-1)^l Gamma(n/2-1-l) B^(1+l) rg(1-alpha-alpha l)/l!``
+    from the rows of ``coeffs`` (:func:`_residue_coefficients`), through
+    log magnitudes so no intermediate factor overflows.  The two families
+    cancel each other as B grows, so the rounding guard weighs both
+    together; a sum that fails it raises ``NonConvergence``.
+    """
+    powers, logs, signs = coeffs
+    logw = math.log(B) if B > 0.0 else -math.inf
+    total, converged, clean = _fsum_with_guard(
+        signs * np.exp(powers * logw + logs))
+    if not (converged and clean):
+        raise NonConvergence(
+            f"residue series at B={B:g} fails its rounding guard")
+    return total
 
 
 # Taylor coefficients of sin(x)/x - 1 in powers of x^2, to x^20
@@ -341,15 +362,20 @@ def _kanter_moments(rho, c, log_scale):
         gap *= 2.0
     edges = np.unique(edges)
     widths = np.diff(edges)[:, None]
-    moments = []
-    for n in (_KANTER_NODES, 2 * _KANTER_NODES):
-        nodes, weights = _gauss_legendre(n)
-        log_ratio = _kanter_log_ratio(rho, edges[:-1, None] + widths * nodes)
-        a = a0 * np.exp(log_ratio)
-        f = widths * weights * np.exp(-c * a0 * np.expm1(log_ratio)) * a
-        moments.append((float(np.sum(f)) / math.pi,
-                        float(np.sum(f * a)) / math.pi))
-    (c1, c2), (i1, i2) = moments
+    # both rules on one node array, each rule's nodes in a block of their own
+    rules = [_gauss_legendre(n) for n in (_KANTER_NODES, 2 * _KANTER_NODES)]
+    phi = np.concatenate([(edges[:-1, None] + widths * nodes).ravel()
+                          for nodes, _ in rules])
+    scaled = np.concatenate([(widths * weights).ravel()
+                             for _, weights in rules])
+    log_ratio = _kanter_log_ratio(rho, phi)
+    a = a0 * np.exp(log_ratio)
+    f = scaled * np.exp(-c * a0 * np.expm1(log_ratio)) * a
+    fa = f * a
+    cut = (edges.size - 1) * _KANTER_NODES
+    (c1, c2), (i1, i2) = [(float(np.sum(f[block])) / math.pi,
+                           float(np.sum(fa[block])) / math.pi)
+                          for block in (slice(None, cut), slice(cut, None))]
     if not (abs(c1 - i1) <= _KANTER_TOL * i1
             and abs(c2 - i2) <= _KANTER_TOL * i2):
         raise NonConvergence(
@@ -377,73 +403,108 @@ def _kanter_solution(alpha, dim, d, x, t):
     return (q * c * m2 - nu * q * m1) / (4.0 * math.pi * ell ** 3 * r * r)
 
 
+def _points(v, name):
+    """``v``, a scalar or a 1-D array, as a 1-D float array, and whether
+    it was a scalar."""
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim > 1:
+        raise DomainError(f"{name} must be a scalar or a 1-D array")
+    return np.atleast_1d(arr), arr.ndim == 0
+
+
 def fundamental_solution(p: DiffusionProblem, x, t):
     """Density at radius ``x``, time ``t``, of the point-source solution.
 
-    Dimensions 1 and 3 evaluate the double pole-residue series of the
-    contour-integral solution at ``B = x^2/(4 D t^alpha)`` with the
-    ``|sqrt(pi) x|^(-n)`` prefactor up to ``B = 16``, eight diffusion
-    lengths.  Past it they evaluate Kanter's integral directly, with no
-    series attempt; a quadrature whose two rules disagree raises
-    ``NonConvergence``, as does ``B`` beyond ``_MAX_A/4``.  The explicit
-    one- and three-dimensional sums serve as independent cross-checks in
-    the test suite.  Dimension 2 has no convergent series of this form
-    and raises ``NotSupported``; :func:`asymptotic_n2` gives its leading
-    logarithmic term near the origin.
+    ``x`` is a radius or a 1-D array of radii; an array gives an array,
+    each entry bitwise equal to the call at that radius alone, since the
+    series coefficients, which do not depend on ``x``, are built once per
+    call and shared by its radii.  Dimensions 1 and 3 evaluate the double
+    pole-residue series of the contour-integral solution at
+    ``B = x^2/(4 D t^alpha)`` with the ``|sqrt(pi) x|^(-n)`` prefactor up
+    to ``B = 1``, two diffusion lengths; a sum that fails its
+    rounding guard raises ``NonConvergence``.  Past it they evaluate
+    Kanter's integral directly, with no series attempt; a quadrature whose
+    two rules disagree raises ``NonConvergence``, as does ``B`` beyond
+    ``_MAX_A/4``.  The explicit one- and three-dimensional sums serve as
+    independent cross-checks in the test suite.  Dimension 2 has no
+    convergent series of this form and raises ``NotSupported``;
+    :func:`asymptotic_n2` gives its leading logarithmic term near the
+    origin.
     """
     if not 0.0 < t < math.inf:
         raise DomainError("t must be positive and finite")
-    if not 0.0 <= x < math.inf:
+    xs, scalar = _points(x, "x")
+    if not np.all((xs >= 0.0) & (xs < math.inf)):
         raise DomainError("x is a radius and must be finite and nonnegative")
     d = p.diff_coeff
     if p.dim == 2:
         raise NotSupported("no certified planar route; asymptotic_n2 gives "
                            "the leading term near the origin")
-    if x == 0.0:
-        if p.dim == 3:
-            raise DomainError("the three-dimensional density diverges at x=0")
-        return gamma_recip(1.0 - p.alpha / 2.0) / (2.0 * math.sqrt(d) * t ** (p.alpha / 2.0))
-    B = x * x / (4.0 * d * t ** p.alpha)
-    if B > _MAX_A / 4.0:
-        raise NonConvergence(
-            f"scaled argument {4.0 * B:g} beyond the validated radius {_MAX_A:g}")
-    if B > _KANTER_B:
-        return _kanter_solution(p.alpha, p.dim, d, x, t)
-    pref = (math.sqrt(math.pi) * x) ** (-p.dim)
-    return pref * _two_sum(p.alpha, p.dim, B)
+    if p.dim == 3 and np.any(xs == 0.0):
+        raise DomainError("the three-dimensional density diverges at x=0")
+    scale = 4.0 * d * t ** p.alpha
+    coeffs = None
+    out = np.empty(xs.size)
+    for i, xi in enumerate(xs.tolist()):
+        if xi == 0.0:
+            out[i] = gamma_recip(1.0 - p.alpha / 2.0) \
+                / (2.0 * math.sqrt(d) * t ** (p.alpha / 2.0))
+            continue
+        B = xi * xi / scale
+        if B > _MAX_A / 4.0:
+            raise NonConvergence(f"scaled argument {4.0 * B:g} beyond the "
+                                 f"validated radius {_MAX_A:g}")
+        if B > _KANTER_B:
+            out[i] = _kanter_solution(p.alpha, p.dim, d, xi, t)
+            continue
+        if coeffs is None:
+            coeffs = _residue_coefficients(p.alpha, p.dim)
+        out[i] = (math.sqrt(math.pi) * xi) ** (-p.dim) * _two_sum(coeffs, B)
+    return float(out[0]) if scalar else out
 
 
 def levy_density(sp: StableParams, t):
     """One-sided stable density with Laplace transform ``exp(-u^rho)``.
 
-    Power series in ``t^(-rho)`` from term-by-term inversion of the
-    transform's exponential series; the poles of the reciprocal gamma
-    factor silently remove every term with integer ``k rho``.  Where the
-    series fails to converge or its rounding guard, at small times and
-    for ``rho`` near 1, Kanter's integral
+    ``t`` is a time or a 1-D array of times; an array gives an array, each
+    entry bitwise equal to the call at that time alone, since the
+    reciprocal gamma factors, which do not depend on ``t``, are built once
+    per call and shared by its times.  Power series in ``t^(-rho)`` from
+    term-by-term inversion of the transform's exponential series; the
+    poles of the reciprocal gamma factor silently remove every term with
+    integer ``k rho``.  Where the series fails to converge or its rounding
+    guard, at small times and for ``rho`` near 1, Kanter's integral
     ``(rho/(1-rho)) t^(-1/(1-rho)) (1/pi) int_0^pi A exp(-c A) dphi``
     with ``c = t^(-rho/(1-rho))`` is evaluated instead, certified by two
     Gauss-Legendre rules or ``NonConvergence``.  Below the saddle-point
     floor the density underflows and 0.0 is returned without summing.
     """
     rho = sp.rho
-    if not 0.0 < t < math.inf:
+    ts, scalar = _points(t, "t")
+    if not np.all((ts > 0.0) & (ts < math.inf)):
         raise DomainError("t must be positive and finite")
-    # steepest-descent exponent -c A(0); 30 nats of slack for the algebraic
-    # factor.  Past log c = 700 the exponent is far below that floor, and
-    # c itself would overflow.
     a0 = _kanter_a0(rho)
-    if (-rho / (1.0 - rho) * math.log(t) > 700.0
-            or -a0 * t ** (-rho / (1.0 - rho)) + 30.0 < -640.0):
-        return 0.0
-    total, converged, clean = _alt_sum(t ** (-rho), 0.0, rho)
-    if converged and clean:
-        density = total / t
-        if not math.isfinite(density):
-            raise NonConvergence(
-                f"stable density at t={t:g} exceeds the double range")
-        return density
-    # Kanter: (rho q) t^(-q) e^(-c A(0)) I1 with q = 1/(1-rho)
     q = 1.0 / (1.0 - rho)
-    c = t ** (-rho * q)
-    return _kanter_moments(rho, c, math.log(rho * q) - q * math.log(t))[0]
+    rg = _alt_coefficients(0.0, rho)
+    out = np.empty(ts.size)
+    for i, ti in enumerate(ts.tolist()):
+        # steepest-descent exponent -c A(0); 30 nats of slack for the
+        # algebraic factor.  Past log c = 700 the exponent is far below
+        # that floor, and c itself would overflow.
+        if (-rho / (1.0 - rho) * math.log(ti) > 700.0
+                or -a0 * ti ** (-rho / (1.0 - rho)) + 30.0 < -640.0):
+            out[i] = 0.0
+            continue
+        total, converged, clean = _alt_sum(ti ** (-rho), rg)
+        if converged and clean:
+            density = total / ti
+            if not math.isfinite(density):
+                raise NonConvergence(
+                    f"stable density at t={ti:g} exceeds the double range")
+            out[i] = density
+            continue
+        # Kanter: (rho q) t^(-q) e^(-c A(0)) I1 with q = 1/(1-rho)
+        c = ti ** (-rho * q)
+        out[i] = _kanter_moments(rho, c,
+                                 math.log(rho * q) - q * math.log(ti))[0]
+    return float(out[0]) if scalar else out

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -279,7 +280,7 @@ def test_far_tail_rejected_beyond_radius():
 
 
 class TestKanterRoute:
-    """Past B = x^2/(4 D t^alpha) = 16 the one- and three-dimensional
+    """Past B = x^2/(4 D t^alpha) = 1 the one- and three-dimensional
     solutions, and the stable density wherever its series fails its
     guard, come from Kanter's integral; these references share no code
     with it."""
@@ -294,7 +295,7 @@ class TestKanterRoute:
     def test_classical_heat_kernel(self, dim):
         d, t = 0.7, 1.3
         p = DiffusionProblem(1.0, d, dim)
-        for lengths in (10.0, 15.0, 20.0, 30.0):
+        for lengths in (2.5, 5.0, 10.0, 15.0, 20.0, 30.0):
             x = lengths * math.sqrt(d * t)
             ref = math.exp(-x * x / (4.0 * d * t)) \
                 / (4.0 * math.pi * d * t) ** (dim / 2.0)
@@ -305,7 +306,7 @@ class TestKanterRoute:
         d, t = 0.6, 1.7
         ell = math.sqrt(d) * t ** (1.0 / 3.0)
         p = DiffusionProblem(2.0 / 3.0, d, 1)
-        for r in (10.0, 20.0, 40.0):
+        for r in (3.0, 10.0, 20.0, 40.0):
             ref = 3.0 ** (2.0 / 3.0) * float(sc.airy(r / 3.0 ** (1.0 / 3.0))[0]) \
                 / (2.0 * ell)
             assert rel(fundamental_solution(p, r * ell, t), ref) < 1e-12
@@ -315,8 +316,8 @@ class TestKanterRoute:
         d, t = 1.3, 0.9
         for alpha in (0.4, 0.7, 0.9):
             p = DiffusionProblem(alpha, d, dim)
-            bulk = (2.0, 4.0, 9.0) if alpha > 0.5 else ()
-            for B in bulk + (12.0, 15.0, 16.5, 20.0, 25.0):
+            bulk = (0.1, 0.5, 1.0)
+            for B in bulk + (1.5, 4.0, 9.0, 15.0, 16.5, 25.0):
                 x = math.sqrt(4.0 * B * d * t ** alpha)
                 A = 4.0 * B
                 if dim == 1:
@@ -329,8 +330,8 @@ class TestKanterRoute:
                 got = fundamental_solution(p, x, t)
                 assert rel(got, ref) < 1e-12
                 if B in bulk:
-                    # the bulk residue sum, extended-precision rescue
-                    # included, against the integral it never uses there
+                    # the bulk residue sum against the integral it never
+                    # uses there
                     kanter = diffusion._kanter_solution(alpha, dim, d, x, t)
                     assert rel(got, kanter) < 1e-12
 
@@ -339,7 +340,7 @@ class TestKanterRoute:
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
             p = DiffusionProblem(alpha, 1.0, dim)
             values = [fundamental_solution(p, 2.0 * math.sqrt(B), 1.0)
-                      for B in np.geomspace(16.0 * (1.0 + 1e-9), 1024.0, 25)]
+                      for B in np.geomspace(1.0 + 1e-9, 1024.0, 30)]
             assert all(math.isfinite(v) and v >= 0.0 for v in values)
             assert values[0] > 0.0
             assert all(a >= b for a, b in zip(values, values[1:]))
@@ -371,3 +372,124 @@ class TestKanterRoute:
             fundamental_solution(DiffusionProblem(0.6, 1.0, 3), 20.0, 1.0)
         with pytest.raises(NonConvergence):
             levy_density(StableParams(0.75), 0.08)
+
+
+def _mp_residue_solution(alpha, dim, x):
+    """The solution at D = t = 1 from the double pole-residue series,
+    summed term by term in mpmath at 60 digits, ``alpha`` and ``x``
+    promoted as exact doubles."""
+    with mp.workdps(60):
+        a, xm = mp.mpf(alpha), mp.mpf(x)
+        B, h = xm * xm / 4, mp.mpf(dim) / 2
+        total = mp.mpf(0)
+        for c0, p0, d0 in ((1 - h, h, 1 - a * h), (h - 1, 1, 1 - a)):
+            small = 0
+            for l in range(4000):
+                term = ((-1) ** l * mp.gamma(c0 - l) * B ** (p0 + l)
+                        * mp.rgamma(d0 - a * l) / mp.factorial(l))
+                total += term
+                small = small + 1 if abs(term) < mp.mpf(10) ** -80 else 0
+                if small == 3:
+                    break
+            else:
+                raise AssertionError("reference series did not converge")
+        return float(total * (mp.sqrt(mp.pi) * xm) ** -dim)
+
+
+class TestSwitch:
+    """The residue series up to B = 1 and Kanter's integral past it, both
+    against the residue series summed in mpmath."""
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_small_alpha_near_the_old_switch(self, dim):
+        # the double residue sum passed its per-family guards here while
+        # the two families cancelled each other to a 2e-9 error
+        for alpha in (0.0513, 0.3141):
+            p = DiffusionProblem(alpha, 1.0, dim)
+            for B in (8.0, 12.0, 15.9):
+                x = 2.0 * math.sqrt(B)
+                assert rel(fundamental_solution(p, x, 1.0),
+                           _mp_residue_solution(alpha, dim, x)) < 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_bulk_in_double_precision(self, dim):
+        for alpha in (1e-3, 0.05, 0.5, 0.95, 1.0, 0.13, 0.315, 0.685, 0.87):
+            p = DiffusionProblem(alpha, 1.0, dim)
+            for B in np.append(np.geomspace(1e-8, 1.0, 9), 0.7):
+                x = 2.0 * math.sqrt(B)
+                assert rel(fundamental_solution(p, x, 1.0),
+                           _mp_residue_solution(alpha, dim, x)) < 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_sides_agree_at_the_switch(self, dim):
+        # each route, at a point just on its own side, against the other
+        # route at the same point
+        for alpha in (0.05, 0.5, 0.95):
+            p = DiffusionProblem(alpha, 1.0, dim)
+            coeffs = diffusion._residue_coefficients(alpha, dim)
+            for B in (1.0 - 1e-9, 1.0 + 1e-9):
+                x = 2.0 * math.sqrt(B)
+                series = (math.sqrt(math.pi) * x) ** -dim \
+                    * diffusion._two_sum(coeffs, x * x / 4.0)
+                kanter = diffusion._kanter_solution(alpha, dim, 1.0, x, 1.0)
+                got = fundamental_solution(p, x, 1.0)
+                assert got == (series if B < 1.0 else kanter)
+                assert rel(series, kanter) < 1e-13
+
+
+class TestArrayInput:
+    """A 1-D array of radii or times gives, entry by entry, the bytes of
+    the call at each point alone."""
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_radii_match_scalar_calls(self, dim):
+        for alpha in (0.05, 0.5, 1.0):
+            p = DiffusionProblem(alpha, 0.8, dim)
+            # both routes, and the origin in dimension 1
+            xs = np.linspace(0.0 if dim == 1 else 0.05, 6.0, 25)
+            got = fundamental_solution(p, xs, 1.3)
+            assert isinstance(got, np.ndarray) and got.shape == xs.shape
+            for x, value in zip(xs, got):
+                assert value == fundamental_solution(p, float(x), 1.3)
+
+    def test_times_match_scalar_calls(self, monkeypatch):
+        calls = []
+        moments = diffusion._kanter_moments
+
+        def counted(rho, *args):
+            calls.append(rho)
+            return moments(rho, *args)
+
+        monkeypatch.setattr(diffusion, "_kanter_moments", counted)
+        for rho in (0.3, 0.75, 0.95):
+            sp = StableParams(rho)
+            # below the underflow floor, then Kanter's integral where the
+            # series fails its guard, then the series, as c =
+            # t^(-rho/(1-rho)) falls from twice the floor
+            cs = np.geomspace(1340.0 / diffusion._kanter_a0(rho), 0.01, 25)
+            ts = cs ** (-(1.0 - rho) / rho)
+            got = levy_density(sp, ts)
+            n_kanter = len(calls)
+            assert 0 < n_kanter < ts.size - 1
+            assert got[0] == 0.0
+            assert got.tolist() == [levy_density(sp, float(t)) for t in ts]
+            assert len(calls) == 2 * n_kanter
+            calls.clear()
+
+    def test_scalar_in_scalar_out(self):
+        p = DiffusionProblem(0.5, 1.0, 1)
+        assert type(fundamental_solution(p, 1.0, 1.0)) is float
+        assert type(levy_density(StableParams(0.5), 1.0)) is float
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_entries_rejected(self, bad):
+        xs = np.array([0.5, bad, 1.0])
+        with pytest.raises(DomainError):
+            fundamental_solution(DiffusionProblem(0.5, 1.0, 1), xs, 1.0)
+        with pytest.raises(DomainError):
+            levy_density(StableParams(0.5), xs)
+
+    def test_origin_in_three_dimensions(self):
+        with pytest.raises(DomainError):
+            fundamental_solution(DiffusionProblem(0.5, 1.0, 3),
+                                 np.array([1.0, 0.0]), 1.0)
