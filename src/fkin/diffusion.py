@@ -267,11 +267,33 @@ def _two_sum(coeffs, B):
     """
     powers, logs, signs = coeffs
     logw = math.log(B) if B > 0.0 else -math.inf
-    total, converged, clean = _fsum_with_guard(
-        signs * np.exp(powers * logw + logs))
+    return _guarded_sum(signs * np.exp(powers * logw + logs), f"B={B:g}")
+
+
+def _two_sum_near_origin(coeffs, n_dim, x, scale):
+    """``(sqrt(pi) x)^(-n) _two_sum(coeffs, B)`` at a radius so small that
+    ``B = x^2/scale`` or the prefactor leaves the double range.
+
+    Each power ``p`` of ``B`` gives the term ``x^(2p-n) scale^-p
+    pi^(-n/2)`` times its coefficient: the power of ``x`` is taken whole,
+    and the rest through its log, so no large logs cancel.  Every power of
+    ``x`` is -1 or more, so a value past the double range (a radius below
+    about 1e-308) raises ``NonConvergence``.
+    """
+    powers, logs, signs = coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = signs * np.power(x, 2.0 * powers - n_dim) * np.exp(
+            logs - powers * math.log(scale) - 0.5 * n_dim * math.log(math.pi))
+    return _guarded_sum(terms, f"x={x:g}")
+
+
+def _guarded_sum(terms, where):
+    """The fsum of the residue terms; raises ``NonConvergence`` when they
+    fail the rounding guard of :func:`_fsum_with_guard`."""
+    total, converged, clean = _fsum_with_guard(terms)
     if not (converged and clean):
         raise NonConvergence(
-            f"residue series at B={B:g} fails its rounding guard")
+            f"residue series at {where} fails its rounding guard")
     return total
 
 
@@ -446,11 +468,13 @@ def fundamental_solution(p: DiffusionProblem, x, t):
     coeffs = None
     out = np.empty(xs.size)
     for i, xi in enumerate(xs.tolist()):
-        if xi == 0.0:
+        B = xi * xi / scale
+        if B == 0.0 and p.dim == 1:
+            # the origin, or a radius whose B underflows: every term past
+            # the first is B^(1/2) or less of it
             out[i] = gamma_recip(1.0 - p.alpha / 2.0) \
                 / (2.0 * math.sqrt(d) * t ** (p.alpha / 2.0))
             continue
-        B = xi * xi / scale
         if B > _MAX_A / 4.0:
             raise NonConvergence(f"scaled argument {4.0 * B:g} beyond the "
                                  f"validated radius {_MAX_A:g}")
@@ -459,7 +483,14 @@ def fundamental_solution(p: DiffusionProblem, x, t):
             continue
         if coeffs is None:
             coeffs = _residue_coefficients(p.alpha, p.dim)
-        out[i] = (math.sqrt(math.pi) * xi) ** (-p.dim) * _two_sum(coeffs, B)
+        try:
+            prefactor = (math.sqrt(math.pi) * xi) ** (-p.dim)
+        except OverflowError:
+            prefactor = math.inf
+        if B > 0.0 and prefactor < math.inf:
+            out[i] = prefactor * _two_sum(coeffs, B)
+        else:
+            out[i] = _two_sum_near_origin(coeffs, p.dim, xi, scale)
     return float(out[0]) if scalar else out
 
 

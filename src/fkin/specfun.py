@@ -1,26 +1,32 @@
 """Reciprocal gamma, the Mittag-Leffler function family, and the series
 engines every fkin series runs on.
 
-Everything here is evaluated from the defining power series, by two
-engines.  ``_ml_values`` is the one double-precision Mittag-Leffler pass:
-compensated (Kahan) summation over an array of arguments, each entry
-stopped by its own rule and checked by a rounding-noise guard against its
-summed term magnitudes.  Entries that fail the guard go to
-``_sum_extended``, the one extended-precision engine, which also rescues
-the residue series of :mod:`fkin.diffusion`: it sums families of terms
-``c x^k C_k``, where the coefficients ``C_k = prod(a)_k / prod(b)_k
-rgamma(g0 + s k)`` do not depend on ``x``, sizes its first pass from a
-double scan of the log term magnitudes, and certifies a pass only when its
-working noise is below 1e-19 of the total (with an absolute floor below
-the double range), escalating the digits otherwise.  The rescued entries
-of one ``_ml_values`` call differ only in ``x``, so they share one table of
-``C_k`` per working precision, built as the terms ask for it and dropped
-when the call returns; their digits are rounded up to multiples of 10 so
-nearby entries meet on one precision, and each entry still picks its
-digits alone, so its value does not depend on its batch.  Lone sums (the
-diffusion residues) keep their exact digits.
-No asymptotic expansions are used, so arguments far outside the supported
-radius raise ``NonConvergence`` instead of silently degrading.
+Mittag-Leffler values come from the defining power series, by two
+engines, and from one contour.  ``_ml_values`` is the one double-precision
+Mittag-Leffler pass: compensated (Kahan) summation over an array of
+arguments, each entry stopped by its own rule and checked by a
+rounding-noise guard against its summed term magnitudes.  Entries that
+fail the guard with ``beta <= 1`` and ``z < 0`` go first to
+``_ml_contour``, which inverts the Prabhakar Laplace image at ``t = 1`` on
+two parabolic contours in double precision and certifies a value only
+when the two agree and it passes the same rounding guard.  Every other
+rescued entry goes to ``_sum_extended``, the one extended-precision
+engine, which also rescues the residue series of :mod:`fkin.diffusion`:
+it sums families of terms ``c x^k C_k``, where the coefficients ``C_k =
+prod(a)_k / prod(b)_k rgamma(g0 + s k)`` do not depend on ``x``, sizes its
+first pass from a double scan of the log term magnitudes, and certifies a
+pass only when its working noise is below 1e-19 of the total (with an
+absolute floor below the double range), escalating the digits otherwise.
+The rescued entries of one ``_ml_values`` call differ only in ``x``, so
+they share one table of ``C_k`` per working precision, built as the terms
+ask for it and dropped when the call returns; their digits are rounded up
+to multiples of 10 so nearby entries meet on one precision, and each entry
+still picks its digits alone, so its value does not depend on its batch.
+Lone sums (the diffusion residues) keep their exact digits.
+No asymptotic expansions are used.  Past the series radius only ``beta <=
+1``, ``z < 0`` is served, by the contour alone; every other argument there,
+and a contour value that does not certify, raises ``NonConvergence``
+instead of silently degrading.
 """
 
 from __future__ import annotations
@@ -83,6 +89,14 @@ _SMALL_TERMS = 3
 _ML_BLOCK = 32
 # Widest block whose Kahan recurrence runs in Python floats.
 _KAHAN_COLUMNS = 8
+# The two passes ``(mu, h)`` of the contour inversion: nodes
+# ``s = mu (1 + i u)^2`` at ``u = k h``, up to the first past which
+# ``e^(mu (1 - u^2))`` is below ``e^-_CONTOUR_CUT``.  A small ``mu`` keeps
+# the rounding that ``e^s`` amplifies near ``e^mu`` small.
+_CONTOUR_PASSES = ((1.0, 0.15), (1.5, 0.12))
+_CONTOUR_CUT = 40.0
+# Relative agreement of the two passes that certifies a contour value.
+_CONTOUR_AGREE = 1e-14
 
 
 @dataclass(frozen=True)
@@ -394,6 +408,78 @@ def _kahan(terms, total, comp):
     return np.array(sums).T, total, comp
 
 
+def _ml_contour(beta, gamma_, delta, zs):
+    """``(values, certified)``: three-parameter Mittag-Leffler values for
+    ``beta <= 1`` and arguments ``z < 0``, by inverting the Laplace image
+    ``s^(beta delta - gamma_) / (s^beta - z)^delta`` of
+    ``t^(gamma_-1) E^delta_(beta,gamma_)(z t^beta)`` at ``t = 1``.
+
+    On the parabola ``s = mu (1 + i u)^2`` the inversion integral
+    ``(1/(2 pi i)) int e^s F(s) ds`` is taken by the trapezoidal rule in
+    ``u`` (Weideman & Trefethen 2007, Math. Comp. 76:1341; Garrappa 2015,
+    SIAM J. Numer. Anal. 53:1350), over one array of entries by nodes.
+    For ``beta <= 1`` and ``z < 0`` the principal branch of ``F`` has no
+    singularity off the negative real axis, which the parabola encloses,
+    and ``F`` is real on the real axis, so the nodes with ``u < 0`` are the
+    conjugates of those with ``u > 0``.  An entry is certified when the
+    two passes of ``_CONTOUR_PASSES`` agree to ``_CONTOUR_AGREE`` of the
+    value, when its rounding-noise estimate ``_GUARD_FACTOR eps mass``
+    (``mass`` the summed term magnitudes) is within ``_GUARD_REL`` of it,
+    as in the double series pass, and when it is finite; the value is that
+    of the first pass.
+    """
+    z = np.asarray(zs, dtype=float)[:, None]
+    passes = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mu, h in _CONTOUR_PASSES:
+            n = math.ceil(math.sqrt(1.0 + _CONTOUR_CUT / mu) / h)
+            w = 1.0 + 1j * h * np.arange(n + 1)
+            s = mu * w * w
+            log_s = np.log(s)
+            # ds/(2 pi i) = mu (1 + i u) du / pi; every node but u = 0
+            # stands for itself and its conjugate
+            weight = (h * mu / math.pi) * w
+            weight[1:] *= 2.0
+            terms = weight * np.exp(
+                s + (beta * delta - gamma_) * log_s
+                - delta * np.log(np.exp(beta * log_s) - z))
+            passes.append((terms.real.sum(axis=1),
+                           np.abs(terms).sum(axis=1)))
+    (value, mass), (check, _) = passes
+    certified = (np.isfinite(value)
+                 & (np.abs(value - check) <= _CONTOUR_AGREE * np.abs(value))
+                 & (_GUARD_FACTOR * _EPS * mass <= _GUARD_REL * np.abs(value)))
+    return value, certified
+
+
+def _ml_rescue(beta, gamma_, delta, zs, ctrl):
+    """Values of the entries the double pass gives up on: with ``beta <=
+    1`` those with ``z < 0`` that :func:`_ml_contour` certifies, and every
+    other entry summed by ``_sum_extended`` under one coefficient table
+    for this call only."""
+    zs = np.asarray(zs, dtype=float)
+    value = np.empty_like(zs)
+    pending = np.ones(zs.shape, dtype=bool)
+    if beta <= 1.0:
+        neg = np.flatnonzero(zs < 0.0)
+        if neg.size:
+            found, certified = _ml_contour(beta, gamma_, delta, zs[neg])
+            value[neg[certified]] = found[certified]
+            pending[neg[certified]] = False
+    shared = {}
+    for i in np.flatnonzero(pending):
+        z = float(zs[i])
+
+        def build(z=z):
+            return [_Family(1, mp.mpf(z), (mp.mpf(delta),), (1,),
+                            mp.mpf(gamma_), mp.mpf(beta))]
+
+        value[i] = _sum_extended(build, _SERIES_TOL, ctrl.max_terms,
+                                 positive=z > 0.0 and delta > 0.0,
+                                 shared=shared)
+    return value
+
+
 def _ml_values(beta, gamma_, delta, zs, ctrl=None):
     """Three-parameter Mittag-Leffler values over an array of arguments.
 
@@ -403,12 +489,15 @@ def _ml_values(beta, gamma_, delta, zs, ctrl=None):
     value never depends on the other arguments of its batch.  The rule
     does not fire while the next term is no smaller than the last,
     ``|c_(k+1) z| >= |c_k|``: small early terms of a series that grows
-    back later (a tiny ``delta``) certify nothing.  An entry goes to
-    extended precision when its rounding-noise estimate
-    ``_GUARD_FACTOR eps mass`` exceeds ``_GUARD_REL`` of its value, when
-    its sum leaves double range, or when it is still summing at a
-    coefficient double precision cannot hold.  An entry whose rule has not
-    fired within ``ctrl.max_terms`` terms raises ``NonConvergence``.
+    back later (a tiny ``delta``) certify nothing.  An entry is rescued
+    (:func:`_ml_rescue`: the contour, else extended precision) when its
+    rounding-noise estimate ``_GUARD_FACTOR eps mass`` exceeds
+    ``_GUARD_REL`` of its value, when its sum leaves double range, or when
+    it is still summing at a coefficient double precision cannot hold.
+    An entry whose rule has not fired within ``ctrl.max_terms`` terms
+    raises ``NonConvergence``.  Entries past ``SERIES_RADIUS`` skip the
+    pass: with ``beta <= 1`` and ``z < 0`` they take the contour value,
+    and raise ``NonConvergence`` if it does not certify; any other raises.
 
     Terms are taken in blocks of ``_ML_BLOCK`` as arrays of terms by live
     entries: powers and masses come from ``cumprod`` and ``cumsum``, which
@@ -420,22 +509,32 @@ def _ml_values(beta, gamma_, delta, zs, ctrl=None):
     zs = np.asarray(zs, dtype=float)
     out_shape = zs.shape
     zs = zs.ravel()
-    if zs.size and np.max(np.abs(zs)) > SERIES_RADIUS:
-        raise NonConvergence(
-            f"|z| = {np.max(np.abs(zs)):g} lies outside the supported "
-            f"series radius {SERIES_RADIUS:g}")
     value = np.zeros_like(zs)
     mass = np.zeros_like(zs)
+    far = np.abs(zs) > SERIES_RADIUS
+    if np.any(far):
+        unserved = far & ~((zs < 0.0) & (beta <= 1.0))
+        if np.any(unserved):
+            raise NonConvergence(
+                f"|z| = {np.max(np.abs(zs[unserved])):g} lies outside the "
+                f"supported series radius {SERIES_RADIUS:g}")
+        found, certified = _ml_contour(beta, gamma_, delta, zs[far])
+        if not np.all(certified):
+            raise NonConvergence(
+                f"z = {zs[far][~certified][0]:g} lies outside the series "
+                f"radius {SERIES_RADIUS:g} and its contour value does not "
+                "certify")
+        value[far] = found
     # the live entries: their positions, arguments, Kahan sums and
     # compensations, absolute masses, next powers of z and runs of small
     # terms
-    pos = np.arange(zs.size)
-    z = zs
-    total = np.zeros_like(zs)
-    comp = np.zeros_like(zs)
-    absum = np.zeros_like(zs)
-    zpow = np.ones_like(zs)
-    run = np.zeros(zs.shape, dtype=int)
+    pos = np.flatnonzero(~far)
+    z = zs[pos]
+    total = np.zeros_like(z)
+    comp = np.zeros_like(z)
+    absum = np.zeros_like(z)
+    zpow = np.ones_like(z)
+    run = np.zeros(z.shape, dtype=int)
     n, size, cut = 0, 0, False
     with np.errstate(over="ignore", invalid="ignore"):
         while pos.size and n < ctrl.max_terms and not cut:
@@ -479,27 +578,18 @@ def _ml_values(beta, gamma_, delta, zs, ctrl=None):
                 v[keep] for v in (pos, z, total, comp, zpow))
             absum, run = absums[-1][keep], runs[-1][keep]
             n = stop
-            # live sums that all left double range go to extended precision
+            # live sums that all left double range are rescued
             if pos.size and not np.any(np.isfinite(total)):
                 break
-    rescue = ~np.isfinite(value) \
-        | (_GUARD_FACTOR * _EPS * mass > _GUARD_REL * np.abs(value))
+    rescue = (~np.isfinite(value)
+              | (_GUARD_FACTOR * _EPS * mass > _GUARD_REL * np.abs(value))) \
+        & ~far
     if pos.size:
         if not cut and np.any(np.isfinite(total)):
             raise NonConvergence(
                 "Mittag-Leffler series did not satisfy the stopping rule "
                 f"within max_terms={ctrl.max_terms}")
         rescue[pos] = True
-    # one coefficient table for the rescued entries of this call only
-    shared = {}
-    for i in np.nonzero(rescue)[0]:
-        z = float(zs[i])
-
-        def build(z=z):
-            return [_Family(1, mp.mpf(z), (mp.mpf(delta),), (1,),
-                            mp.mpf(gamma_), mp.mpf(beta))]
-
-        value[i] = _sum_extended(build, _SERIES_TOL, ctrl.max_terms,
-                                 positive=z > 0.0 and delta > 0.0,
-                                 shared=shared)
+    if np.any(rescue):
+        value[rescue] = _ml_rescue(beta, gamma_, delta, zs[rescue], ctrl)
     return value.reshape(out_shape)

@@ -176,7 +176,8 @@ def _triangle_data(denominator_sign=1.0, truncation=None):
 
 def check_ml_reductions():
     """Parameter reductions of the three-parameter Mittag-Leffler function
-    against elementary closed forms, on 200 random points per identity."""
+    against elementary closed forms (and ``erfcx``), on 200 random points
+    per identity."""
     rng = np.random.default_rng(_SEED)
     worst = {}
 
@@ -213,6 +214,14 @@ def check_ml_reductions():
         chain = max(chain, float(_rel(
             ml_two(b, 1.0, z, budget), ml_one(b, z, budget))))
     worst["chain"] = chain
+
+    # E_(1/2)(z) = erfcx(-z) over every decade of z in [-1e3, -1e-3]: the
+    # double series, its rescue and, past the series radius, the contour
+    import scipy.special as _sc
+
+    zs = -(10.0 ** rng.uniform(-3.0, 3.0, 200))
+    vals = np.array([ml_one(0.5, z) for z in zs])
+    worst["erfcx"] = float(np.max(_rel(vals, _sc.erfcx(-zs))))
 
     bad = max(worst.values())
     detail = ("worst rel " + ", ".join(f"{k} {v:.2e}"

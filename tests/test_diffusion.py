@@ -84,6 +84,19 @@ class TestOneDimension:
         got = fundamental_solution(p, 0.0, 1.0)
         assert rel(got, 0.5 / math.gamma(0.75)) < 1e-12
 
+    def test_underflowing_radius_is_the_origin(self):
+        # at x = 1e-170, B = x^2/(4 D t^alpha) underflows to zero; the
+        # terms past the origin value are B^(1/2) of it and less
+        for alpha, d, t in ((0.5, 1.0, 1.0), (0.05, 2.0, 0.5),
+                            (1.0, 0.5, 3.0)):
+            p = DiffusionProblem(alpha, d, 1)
+            origin = fundamental_solution(p, 0.0, t)
+            assert origin == pytest.approx(
+                1.0 / (2.0 * math.sqrt(d) * t ** (alpha / 2.0)
+                       * math.gamma(1.0 - alpha / 2.0)), rel=1e-14)
+            assert fundamental_solution(p, 1e-170, t) == origin
+            assert rel(fundamental_solution(p, 1e-150, t), origin) < 1e-13
+
     def test_frozen_interior_value(self):
         p = DiffusionProblem(0.5, 1.0, 1)
         assert rel(fundamental_solution(p, 1.0, 1.0), MID_DIM1) < 1e-12
@@ -143,6 +156,28 @@ class TestThreeDimensions:
     def test_origin_diverges(self):
         with pytest.raises(DomainError):
             fundamental_solution(DiffusionProblem(0.5, 1.0, 3), 0.0, 1.0)
+
+    def test_reciprocal_distance_near_the_origin(self):
+        # the planar heat kernel's 1/(4 pi D tau) integrated against the
+        # subordinator density at tau = 0 gives the leading term
+        # 1/(4 pi D t^alpha Gamma(1-alpha) x); at alpha = 1 the origin value
+        # of the heat kernel, (4 pi D t)^(-3/2).  Past x = 1e-103 the
+        # prefactor (sqrt(pi) x)^-3 leaves the double range, and at
+        # x = 1e-170 B underflows too
+        for alpha, d, t in ((0.5, 1.0, 1.0), (0.05, 2.0, 0.5),
+                            (0.95, 0.5, 3.0)):
+            p = DiffusionProblem(alpha, d, 3)
+            for x in (1e-150, 1e-170):
+                lead = 1.0 / (4.0 * math.pi * d * t ** alpha
+                              * math.gamma(1.0 - alpha) * x)
+                assert rel(fundamental_solution(p, x, t), lead) < 1e-13
+        p = DiffusionProblem(1.0, 0.5, 3)
+        for x in (1e-150, 1e-170):
+            assert rel(fundamental_solution(p, x, 3.0),
+                       (4.0 * math.pi * 0.5 * 3.0) ** -1.5) < 1e-13
+        # a value past the double range is a typed failure
+        with pytest.raises(NonConvergence):
+            fundamental_solution(DiffusionProblem(0.5, 1.0, 3), 1e-320, 1.0)
 
 
 def _planar_projection(alpha, r, t):

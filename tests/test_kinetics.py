@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sc
 
 from fkin.errors import DomainError, NonConvergence, ResourceError
 from fkin.kinetics import (KineticProblem, MLForcing, PowerLaw, Sampled,
@@ -150,6 +151,13 @@ class TestClassicalLimits:
         ref = np.exp(-TS) * (1.0 - TS)
         got = solve_binomial(p, TS)
         assert float(np.max(np.abs(got - ref))) < 1e-8
+
+    def test_half_order_long_times(self):
+        # N(t) = E_(1/2)(-t^(1/2)) = erfcx(t^(1/2)); at t = 1e4 the argument
+        # lies past the series radius
+        p = KineticProblem(1, (0.5,), (1.0,), Unit())
+        ts = np.array([100.0, 400.0, 1e4])
+        assert max_rel(solve_single_term(p, ts), sc.erfcx(np.sqrt(ts))) < 1e-14
 
     def test_power_forcing_classical(self):
         # rho=2, nu=1, rate 1: image 1/(s(s+1)) inverts to 1 - e^{-t}

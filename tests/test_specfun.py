@@ -10,7 +10,8 @@ from fkin import specfun
 from fkin.errors import DomainError, NonConvergence
 from fkin.specfun import (_EPS, _GUARD_FACTOR, _GUARD_REL, _SERIES_TOL,
                           _SMALL_TERMS, MLParams, SeriesControls, _Family,
-                          _ml_table, _ml_values, _sum_extended, gamma_recip,
+                          _ml_contour, _ml_rescue, _ml_table,
+                          _ml_values, _sum_extended, gamma_recip,
                           ml_one, ml_prabhakar, ml_two, pochhammer)
 
 # reference constants frozen from extended-precision series runs
@@ -206,17 +207,9 @@ def _ml_values_by_term(beta, gamma_, delta, zs, ctrl):
         if n == ctrl.max_terms and np.any(~fired & np.isfinite(total)):
             raise NonConvergence("reference pass did not converge")
         rescue |= ~fired
-    shared = {}
-    for i in np.nonzero(rescue)[0]:
-        z = float(zs[i])
-
-        def build(z=z):
-            return [_Family(1, mp.mpf(z), (mp.mpf(delta),), (1,),
-                            mp.mpf(gamma_), mp.mpf(beta))]
-
-        value[i] = _sum_extended(build, _SERIES_TOL, ctrl.max_terms,
-                                 positive=z > 0.0 and delta > 0.0,
-                                 shared=shared)
+    # rescued entries are dispatched as the blocked pass dispatches them
+    if np.any(rescue):
+        value[rescue] = _ml_rescue(beta, gamma_, delta, zs[rescue], ctrl)
     return value
 
 
@@ -281,11 +274,12 @@ def _rescued(monkeypatch):
 
 def test_shared_table_does_not_change_values(monkeypatch):
     # the rescued entries of a batch share one coefficient table across
-    # several working precisions; each keeps the value of its own call
+    # several working precisions; each keeps the value of its own call.
+    # beta > 1 keeps every entry off the contour, in extended precision
     zs = np.linspace(-2.0, -7.0, 11)
     sums = _rescued(monkeypatch)
     passes = _count_calls(monkeypatch, "workdps")
-    for beta, gamma_, delta in ((0.5, 1.5, 2.0), (0.75, 1.5, 3.5)):
+    for beta, gamma_, delta in ((1.1, 1.5, 2.0), (1.2, 2.0, 3.5)):
         del sums[:]
         got = _ml_values(beta, gamma_, delta, zs)
         assert len(sums) == zs.size
@@ -296,39 +290,137 @@ def test_shared_table_does_not_change_values(monkeypatch):
     assert len(digits) > 1 and all(d % 10 == 0 for d in digits)
 
 
+def _erfcx_rel(v, z):
+    # error of v against E_(1/2)(z) = erfcx(-z) = exp(z^2) erfc(-z), taken
+    # at 60 digits
+    with mp.workdps(60):
+        ref = mp.exp(mp.mpf(z) ** 2) * mp.erfc(-mp.mpf(z))
+        return float(abs((v - ref) / ref))
+
+
 def test_rescued_half_order_matches_erfcx(monkeypatch):
-    # E_(1/2)(z) = erfcx(-z) = exp(z^2) erfc(-z)
+    # both rescue engines: the contour, which takes these entries in
+    # _ml_values, and the extended-precision sum called directly
     zs = np.linspace(-8.0, -2.0, 13)
     sums = _rescued(monkeypatch)
     got = _ml_values(0.5, 1.0, 1.0, zs)
-    assert len(sums) == zs.size
-    with mp.workdps(60):
-        for z, v in zip(zs, got):
-            ref = mp.exp(mp.mpf(z) ** 2) * mp.erfc(-mp.mpf(z))
-            assert abs((v - ref) / ref) < 1e-15, z
+    assert not sums
+    for z, v in zip(zs, got):
+        assert _erfcx_rel(v, z) < 1e-15, z
+    for z in zs:
+
+        def build(z=z):
+            return [_Family(1, mp.mpf(z), (mp.mpf(1),), (1,), mp.mpf(1),
+                            mp.mpf(0.5))]
+
+        v = _sum_extended(build, _SERIES_TOL, SeriesControls().max_terms)
+        assert _erfcx_rel(v, z) < 1e-15, z
 
 
 def test_rescued_entries_share_their_coefficients(monkeypatch):
     zs = np.arange(-2.0, -8.0, -1.0)
     sums = _rescued(monkeypatch)
     calls = _count_calls(monkeypatch, "rgamma")
-    _ml_values(0.75, 1.5, 3.5, zs)
+    _ml_values(1.1, 1.5, 3.5, zs)
     assert len(sums) == zs.size
     batch = len(calls)
     del calls[:]
     for z in zs:
-        _ml_values(0.75, 1.5, 3.5, [z])
+        _ml_values(1.1, 1.5, 3.5, [z])
     assert 0 < batch < len(calls) / 2
 
 
 def test_coefficient_table_lives_for_one_call(monkeypatch):
     zs = np.arange(-2.0, -8.0, -1.0)
     calls = _count_calls(monkeypatch, "rgamma")
-    first = _ml_values(0.75, 1.5, 3.5, zs)
+    first = _ml_values(1.1, 1.5, 3.5, zs)
     once = len(calls)
-    second = _ml_values(0.75, 1.5, 3.5, zs)
+    second = _ml_values(1.1, 1.5, 3.5, zs)
     assert once > 0 and len(calls) == 2 * once
     assert first.tobytes() == second.tobytes()
+
+
+def _prabhakar_by_inversion(beta, gamma_, delta, z):
+    # E^delta_(beta,gamma_)(z): the Laplace image
+    # s^(beta delta - gamma_) / (s^beta - z)^delta inverted at t = 1 by
+    # mpmath's Talbot rule at 40 digits
+    with mp.workdps(40):
+        b, g, d, x = (mp.mpf(v) for v in (beta, gamma_, delta, z))
+        return float(mp.invertlaplace(
+            lambda s: s ** (b * d - g) / (s ** b - x) ** d, 1,
+            method="talbot"))
+
+
+def test_contour_sweep_matches_inversion():
+    # beta <= 1, z < 0 over the box the rescue serves; every certified
+    # value is within 1e-13 of a 40-digit inversion
+    rng = np.random.default_rng(1717)
+    n = 60
+    betas = rng.uniform(0.05, 1.0, n)
+    gammas = rng.uniform(0.1, 3.0, n)
+    deltas = rng.uniform(0.1, 3.5, n)
+    zs = -(10.0 ** rng.uniform(-2.0, 3.0, n))
+    certified = 0
+    for beta, gamma_, delta, z in zip(betas, gammas, deltas, zs):
+        got, ok = _ml_contour(beta, gamma_, delta, [z])
+        if ok[0]:
+            certified += 1
+            ref = _prabhakar_by_inversion(beta, gamma_, delta, z)
+            assert rel(got[0], ref) < 1e-13, (beta, gamma_, delta, z)
+    assert certified >= 0.8 * n
+
+
+def test_contour_closed_forms():
+    # E_(1/2)(z) = erfcx(-z), certified at every |z| up to 1e3
+    xs = np.geomspace(0.05, 1e3, 40)
+    got, ok = _ml_contour(0.5, 1.0, 1.0, -xs)
+    assert ok.all()
+    for x, v in zip(xs, got):
+        assert _erfcx_rel(v, -x) < 1e-15, x
+    # E_1(-x) = e^-x wherever it certifies, which is at least up to x = 5
+    xs = np.linspace(0.05, 20.0, 80)
+    got, ok = _ml_contour(1.0, 1.0, 1.0, -xs)
+    assert ok[xs <= 5.0].all()
+    assert np.all(np.abs(got[ok] / np.exp(-xs[ok]) - 1.0) < 1e-14)
+
+
+def test_rejected_entry_keeps_the_extended_value(monkeypatch):
+    # e^-6.958 is too small against the contour's summed terms to pass
+    # its rounding guard, so the rescue sums the series in extended
+    # precision, bitwise as before the contour
+    z = -6.958
+    assert not _ml_contour(1.0, 1.0, 1.0, [z])[1][0]
+    sums = _rescued(monkeypatch)
+    got = _ml_values(1.0, 1.0, 1.0, [z])[0]
+    assert len(sums) == 1
+
+    def build():
+        return [_Family(1, mp.mpf(z), (mp.mpf(1),), (1,), mp.mpf(1),
+                        mp.mpf(1))]
+
+    ref = _sum_extended(build, _SERIES_TOL, SeriesControls().max_terms,
+                        shared={})
+    assert got.tobytes() == np.float64(ref).tobytes()
+    assert rel(got, math.exp(z)) < 1e-15
+
+
+def test_past_the_radius_by_contour():
+    # beta <= 1, z < -SERIES_RADIUS skips the series for the contour
+    for x in (60.0, 100.0, 400.0, 1e3):
+        v = ml_one(0.5, -x)
+        assert _erfcx_rel(v, -x) < 1e-15, x
+    # a batch across the radius keeps every entry's own value
+    zs = np.array([-1e3, -3.0, -75.0, -0.5, 2.0])
+    got = _ml_values(0.7, 1.2, 1.5, zs)
+    for z, v in zip(zs, got):
+        assert v == _ml_values(0.7, 1.2, 1.5, [z])[0], z
+    # anything else past the radius raises, as does an uncertified value
+    with pytest.raises(NonConvergence, match="radius"):
+        ml_two(1.5, 1.0, -60.0)
+    with pytest.raises(NonConvergence, match="radius"):
+        _ml_values(0.7, 1.2, 1.5, [-60.0, 60.0])
+    with pytest.raises(NonConvergence, match="does not certify"):
+        ml_one(1.0, -60.0)
 
 
 def test_reduction_chain():
