@@ -39,7 +39,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 import scipy.special as _sc
 
@@ -71,6 +70,10 @@ _LOG_UNDERFLOW = -746.0
 # three-dimensional solutions come from Kanter's integral, not the series;
 # below it the residue families cancel too little to fail their guard
 _KANTER_B = 1.0
+# below B = _NEAR_ORIGIN_B the residue series is summed in powers of x, not
+# through ``exp(powers * log(B) + logs)``, whose rounding grows with
+# |log B|: up to 2e-15 below B = 1e-4, 5e-14 near x = 1e-140
+_NEAR_ORIGIN_B = 1e-3
 # Kanter panels end where c (A - A(0)) reaches these levels; the last one
 # cuts the integral where the integrand has fallen by e^-60
 _KANTER_LEVELS = (1.0, 3.0, 7.0, 14.0, 25.0, 40.0, 60.0)
@@ -160,6 +163,8 @@ def _alt_series(alpha, A, drop):
         return total
 
     def build():
+        import mpmath as mp
+
         am = mp.mpf(alpha)
         return [_Family(1, -mp.sqrt(A), (), (1,), 1 - drop * am, -am / 2)]
 
@@ -272,18 +277,31 @@ def _two_sum(coeffs, B):
 
 def _two_sum_near_origin(coeffs, n_dim, x, scale):
     """``(sqrt(pi) x)^(-n) _two_sum(coeffs, B)`` at a radius so small that
-    ``B = x^2/scale`` or the prefactor leaves the double range.
+    ``B = x^2/scale`` is below ``_NEAR_ORIGIN_B`` or the prefactor leaves
+    the double range.
 
     Each power ``p`` of ``B`` gives the term ``x^(2p-n) scale^-p
-    pi^(-n/2)`` times its coefficient: the power of ``x`` is taken whole,
-    and the rest through its log, so no large logs cancel.  Every power of
-    ``x`` is -1 or more, so a value past the double range (a radius below
-    about 1e-308) raises ``NonConvergence``.
+    pi^(-n/2)`` times its coefficient.  With ``x = mx 2^ex`` and ``scale =
+    ms 2^es`` split exactly (``mx`` in [1/2, 1), ``ms`` in [1/2, 2) and
+    ``es`` even, so ``2^(es p)`` is a whole power of two), the powers of
+    ``mx`` and ``ms`` are taken whole, the coefficient through its log,
+    and the powers of two by ``ldexp``: no large logs cancel, and no
+    factor leaves the double range unless the term does, whatever
+    ``D t^alpha`` is.  Every power of ``x`` is -1 or more, so a value past
+    the double range (at D = t = 1, a radius below about 1e-308) raises
+    ``NonConvergence``.
     """
     powers, logs, signs = coeffs
+    mx, ex = math.frexp(x)
+    ms, es = math.frexp(scale)
+    if es % 2:
+        ms, es = 2.0 * ms, es - 1
+    xpow = 2.0 * powers - n_dim
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = signs * np.power(x, 2.0 * powers - n_dim) * np.exp(
-            logs - powers * math.log(scale) - 0.5 * n_dim * math.log(math.pi))
+        terms = np.ldexp(
+            signs * np.power(mx, xpow) * np.power(ms, -powers)
+            * np.exp(logs - 0.5 * n_dim * math.log(math.pi)),
+            (ex * xpow - es * powers).astype(np.int64))
     return _guarded_sum(terms, f"x={x:g}")
 
 
@@ -469,9 +487,11 @@ def fundamental_solution(p: DiffusionProblem, x, t):
     out = np.empty(xs.size)
     for i, xi in enumerate(xs.tolist()):
         B = xi * xi / scale
-        if B == 0.0 and p.dim == 1:
-            # the origin, or a radius whose B underflows: every term past
-            # the first is B^(1/2) or less of it
+        if p.dim == 1 and xi <= 1e-20 * math.sqrt(scale):
+            # the origin, or a radius whose terms past the first are
+            # B^(1/2) <= 1e-20 of it and less; a B that underflows while
+            # B^(1/2) still counts (D t^alpha below about 1e-290) is
+            # summed near the origin
             out[i] = gamma_recip(1.0 - p.alpha / 2.0) \
                 / (2.0 * math.sqrt(d) * t ** (p.alpha / 2.0))
             continue
@@ -487,7 +507,7 @@ def fundamental_solution(p: DiffusionProblem, x, t):
             prefactor = (math.sqrt(math.pi) * xi) ** (-p.dim)
         except OverflowError:
             prefactor = math.inf
-        if B > 0.0 and prefactor < math.inf:
+        if B >= _NEAR_ORIGIN_B and prefactor < math.inf:
             out[i] = prefactor * _two_sum(coeffs, B)
         else:
             out[i] = _two_sum_near_origin(coeffs, p.dim, xi, scale)

@@ -355,6 +355,19 @@ def rl_integral(f, t, nu, controls=None, n_cells=None):
                                                   n_cells=n_cells)
 
 
+def _causal_convolutions(fs, kernels):
+    """The first ``len(fs)`` terms of the linear convolution of ``fs`` with
+    each of ``kernels``, all of the length of ``fs`` (two or more), by real
+    FFTs at one fast length for the ``2 len(fs) - 1`` terms, with one
+    transform of ``fs`` for all of them."""
+    import scipy.fft as _fft
+
+    n = fs.size
+    size = _fft.next_fast_len(2 * n - 1, True)
+    spec = _fft.rfft(fs, size)
+    return [_fft.irfft(spec * _fft.rfft(k, size), size)[:n] for k in kernels]
+
+
 def singular_convolution_grid(fs, dt, power, modulator=None, series=None):
     """Values of the singular convolution at every node of a uniform grid.
 
@@ -364,9 +377,6 @@ def singular_convolution_grid(fs, dt, power, modulator=None, series=None):
     discrete convolutions, evaluated by FFT: ``a[m], b[m]`` weight the
     samples ``m`` and ``m - 1`` cells before the target time.
     """
-    # imported here, its only use: scipy.signal costs half a second to load
-    import scipy.signal as _sig
-
     if power <= -1.0:
         raise DomainError("kernel exponent must exceed -1")
     if not 0.0 < dt < math.inf:
@@ -381,10 +391,9 @@ def singular_convolution_grid(fs, dt, power, modulator=None, series=None):
     m = np.arange(1.0, n + 2.0)
     a, b = (np.concatenate(([0.0], w)) for w in
             _folded_lr((m - 1.0) * dt, m * dt, power, modulator, series))
-    s1 = _sig.fftconvolve(fs, a[: n + 1])[: n + 1]
     e = b[1: n + 2]
-    s2 = _sig.fftconvolve(fs, e)[: n + 1] - fs[0] * e[: n + 1]
-    out = s1 + s2
+    s1, s2 = _causal_convolutions(fs, (a[: n + 1], e))
+    out = s1 + (s2 - fs[0] * e[: n + 1])
     out[0] = 0.0
     return out
 

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate as _si
 
 from .errors import DomainError, OracleFailure, SingularStep, TruncationWarning
 from .kinetics import KineticProblem, laplace_domain
@@ -127,6 +126,10 @@ def forward_laplace(f, s, head_power=0.0, t_max=None, abs_tol=1e-12,
     a :class:`TruncationWarning` is emitted.  Loosening ``rel_tol`` stops
     subdivision earlier, which matters when ``f`` is expensive.
     """
+    # imported here, its only use: scipy.integrate pulls in scipy.optimize
+    # and scipy.linalg, a third of a second to load
+    import scipy.integrate as _si
+
     if not 0.0 < s < math.inf:
         raise DomainError("the quadrature route needs real finite s > 0")
     if not -1.0 < head_power < math.inf:

@@ -23,6 +23,8 @@ ask for it and dropped when the call returns; their digits are rounded up
 to multiples of 10 so nearby entries meet on one precision, and each entry
 still picks its digits alone, so its value does not depend on its batch.
 Lone sums (the diffusion residues) keep their exact digits.
+``mpmath`` is imported by this engine alone, on its first sum, so a run
+that never rescues an entry in extended precision never loads it.
 No asymptotic expansions are used.  Past the series radius only ``beta <=
 1``, ``z < 0`` is served, by the contour alone; every other argument there,
 and a contour value that does not certify, raises ``NonConvergence``
@@ -35,7 +37,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import mpmath as mp
 import numpy as np
 import scipy.special as _sc
 
@@ -72,9 +73,10 @@ _MAX_DPS = 8000
 _MP_PASSES = 4
 # An extended-precision pass is certified when its working noise is below
 # _MP_CERT of |total|, or of _MP_FLOOR: a total under the floor rounds to
-# zero in double (the smallest subnormal is 4.9e-324).
+# zero in double (the smallest subnormal is 4.9e-324); it is read as an
+# mpf at the default precision.
 _MP_CERT = 1e-19
-_MP_FLOOR = mp.mpf("1e-330")
+_MP_FLOOR = "1e-330"
 # The digits of every pass of a sum that shares a coefficient table are
 # rounded up to a multiple of this.
 _DPS_STEP = 10
@@ -211,13 +213,16 @@ class _Coefficients:
     ``Q_(k+1) = Q_k prod(a + k) / prod(b + k)``."""
 
     def __init__(self, f):
+        import mpmath as mp
+
+        self._mp = mp
         self.f = f
         self.values = []
         self.q = mp.mpf(1)
 
     def extend(self):
         f, k = self.f, len(self.values)
-        self.values.append(self.q * mp.rgamma(f.g0 + f.s * k))
+        self.values.append(self.q * self._mp.rgamma(f.g0 + f.s * k))
         for a in f.nums:
             self.q *= a + k
         for b in f.dens:
@@ -255,6 +260,8 @@ def _sum_extended(build, tol, budget, positive=False, shared=None):
     value does not depend on its batch.  Without one the sum keeps its
     exact digits and a table of its own, dropped when it returns.
     """
+    import mpmath as mp
+
     ks = np.arange(min(budget, _SCAN_TERMS), dtype=float)
     log_peak = -math.inf
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -277,6 +284,7 @@ def _sum_extended(build, tol, budget, positive=False, shared=None):
         return min(_MAX_DPS, -(-d // step) * step)
 
     dps = digits(30 + int(max(log_peak, 0.0) / math.log(10.0)))
+    floor = mp.mpf(_MP_FLOOR)
     for _ in range(_MP_PASSES):
         with mp.workdps(dps):
             cut = mp.mpf(10) ** (8 - dps)
@@ -312,9 +320,9 @@ def _sum_extended(build, tol, budget, positive=False, shared=None):
                         f"{budget} terms in extended precision")
                 total += part
             noise = peak * mp.mpf(10) ** -dps
-            if noise <= _MP_CERT * max(abs(total), _MP_FLOOR):
+            if noise <= _MP_CERT * max(abs(total), floor):
                 return float(total)
-            scale = abs(total) if abs(total) > 1000 * noise else _MP_FLOOR
+            scale = abs(total) if abs(total) > 1000 * noise else floor
             needed = 30 + int(mp.log10(peak / scale))
         if dps >= _MAX_DPS:
             break
@@ -471,6 +479,8 @@ def _ml_rescue(beta, gamma_, delta, zs, ctrl):
         z = float(zs[i])
 
         def build(z=z):
+            import mpmath as mp
+
             return [_Family(1, mp.mpf(z), (mp.mpf(delta),), (1,),
                             mp.mpf(gamma_), mp.mpf(beta))]
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate as _si
 
 from .diffusion import (
     DiffusionProblem,
@@ -335,6 +334,8 @@ def check_gaussian_limit():
 
 def check_mass_conservation():
     """Unit mass of the one-dimensional profile at fractional orders."""
+    import scipy.integrate as _si
+
     worst = 0.0
     for alpha in (0.5, 0.75):
         problem = DiffusionProblem(alpha=alpha, diff_coeff=1.0, dim=1)

@@ -409,13 +409,13 @@ class TestKanterRoute:
             levy_density(StableParams(0.75), 0.08)
 
 
-def _mp_residue_solution(alpha, dim, x):
-    """The solution at D = t = 1 from the double pole-residue series,
-    summed term by term in mpmath at 60 digits, ``alpha`` and ``x``
-    promoted as exact doubles."""
+def _mp_residue_solution(alpha, dim, x, scale=4.0):
+    """The solution at ``4 D t^alpha = scale`` (D = t = 1 by default) from
+    the double pole-residue series, summed term by term in mpmath at 60
+    digits, ``alpha``, ``x`` and ``scale`` promoted as exact doubles."""
     with mp.workdps(60):
         a, xm = mp.mpf(alpha), mp.mpf(x)
-        B, h = xm * xm / 4, mp.mpf(dim) / 2
+        B, h = xm * xm / mp.mpf(scale), mp.mpf(dim) / 2
         total = mp.mpf(0)
         for c0, p0, d0 in ((1 - h, h, 1 - a * h), (h - 1, 1, 1 - a)):
             small = 0
@@ -454,6 +454,24 @@ class TestSwitch:
                 x = 2.0 * math.sqrt(B)
                 assert rel(fundamental_solution(p, x, 1.0),
                            _mp_residue_solution(alpha, dim, x)) < 1e-13
+
+    @pytest.mark.parametrize("d, t", [(1.0, 1.0), (1e-9, 1.0), (1.0, 1e6),
+                                      (1e-100, 1.0), (1e100, 1.0)])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95, 1.0])
+    def test_small_radii_to_the_last_digits(self, alpha, dim, d, t):
+        # the log of a tiny B must not round into every term, and no power
+        # of x or of 4 D t^alpha may leave the double range on its own: at
+        # D = t = 1, x = 10^-k for k = 1..150; elsewhere the same B = 10^-2k/4
+        # from k = 2, all of them on the near-origin route (at k = 1, on the
+        # B route, D = 1e-9 misses by 1.1e-15)
+        scale = 4.0 * d * t ** alpha
+        first = 1.0 if d == t == 1.0 else 2.0
+        xs = math.sqrt(scale / 4.0) * 10.0 ** -np.arange(first, 151.0)
+        got = fundamental_solution(DiffusionProblem(alpha, d, dim), xs, t)
+        for x, value in zip(xs.tolist(), got.tolist()):
+            ref = _mp_residue_solution(alpha, dim, x, scale)
+            assert rel(value, ref) < 1e-15, x
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_sides_agree_at_the_switch(self, dim):

@@ -8,7 +8,7 @@ import scipy.integrate as si
 
 from fkin.errors import DomainError, NonConvergence
 from fkin.fracops import (ConvolutionControls, MLModulator, SampledFunction,
-                          _folded_lr, _graded_nodes, ddt,
+                          _causal_convolutions, _folded_lr, _graded_nodes, ddt,
                           laplace_of_interpolant, rl_integral,
                           rl_integral_grid, singular_convolution,
                           singular_convolution_grid)
@@ -135,6 +135,38 @@ class TestGridVariants:
         for k in (64, 256):
             ref = singular_convolution(lambda u: math.exp(-u), float(gs[k]), -0.5)
             assert rel(out[k], ref) < 1e-5
+
+    def test_causal_convolutions_match_fftconvolve(self):
+        # the shared-transform pair repeats scipy.signal's real FFT
+        # convolution bit for bit at every length fkin reaches (two or more)
+        from scipy.signal import fftconvolve
+
+        rng = np.random.default_rng(18)
+        for n in [*range(2, 601), 1023, 1024, 4097, 10241]:
+            fs, k1, k2 = rng.standard_normal((3, n))
+            got = _causal_convolutions(fs, (k1, k2))
+            for kernel, conv in zip((k1, k2), got):
+                assert np.array_equal(conv, fftconvolve(fs, kernel)[:n]), n
+
+    def test_modulated_grid_keeps_its_bytes(self):
+        # the same product rule with each convolution taken by
+        # scipy.signal.fftconvolve as the reference
+        from scipy.signal import fftconvolve
+
+        mod = MLModulator(0.7, 1.3, 1.5, -0.9)
+        dt, power = 1.0 / 128, -0.4
+        fs = np.cos(3.0 * np.arange(0, 385) * dt) + 1.5
+        n = fs.size - 1
+        m = np.arange(1.0, n + 2.0)
+        a, b = (np.concatenate(([0.0], w)) for w in
+                _folded_lr((m - 1.0) * dt, m * dt, power, mod,
+                           SeriesControls()))
+        e = b[1: n + 2]
+        ref = fftconvolve(fs, a[: n + 1])[: n + 1] + (
+            fftconvolve(fs, e)[: n + 1] - fs[0] * e[: n + 1])
+        ref[0] = 0.0
+        got = singular_convolution_grid(fs, dt, power, mod)
+        assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("grid", [
         lambda fs, dt: singular_convolution_grid(fs, dt, -0.5),

@@ -1,0 +1,58 @@
+"""What importing fkin loads: the libraries a run does not use stay
+unloaded until their first use."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# each stage prints the watched modules that are loaded after it
+_SCRIPT = """
+import json, sys
+
+WATCHED = ("scipy.integrate", "scipy.signal", "scipy.optimize", "mpmath")
+
+
+def loaded():
+    return [name for name in WATCHED if name in sys.modules]
+
+
+stages = {}
+import fkin.cli
+stages["import"] = loaded()
+
+from fkin import (ConvolutionControls, KineticProblem, Unit, forward_laplace,
+                  solve_multiterm_grid, verify_problem)
+
+problem = KineticProblem(1.0, (0.5, 1.0), (1.0, 0.3), Unit())
+solve_multiterm_grid(problem, 0.25,
+                     controls=ConvolutionControls(points_per_unit=64))
+verify_problem(KineticProblem(1.0, (0.5,), (1.0,), Unit()), [0.5])
+stages["run"] = loaded()
+
+forward_laplace(lambda t: 1.0, 2.0)
+stages["forward"] = loaded()
+print(json.dumps(stages))
+"""
+
+
+def _stages():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_libraries_load_at_their_first_use():
+    stages = _stages()
+    assert stages["import"] == []
+    # a grid solve and a verification use neither quadrature nor scipy.signal
+    assert "scipy.integrate" not in stages["run"]
+    assert "scipy.signal" not in stages["run"]
+    # the deferred import works where quadrature is used
+    assert "scipy.integrate" in stages["forward"]
