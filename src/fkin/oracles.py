@@ -6,7 +6,10 @@ Two routes that share no code or mathematics with the solution formulas:
   deformed contour with a built-in second pass on perturbed parameters so
   silent inaccuracy turns into a raised error instead;
 * a product-integration stepper that discretizes the governing Volterra
-  equation directly on a uniform grid.
+  equation directly on a uniform grid; its grid equations are one
+  lower-triangular Toeplitz system, solved at once by power-series
+  division with ``numpy.fft`` products (the solver's grid convolutions
+  run on ``scipy.fft`` and are not used here).
 
 A forward transform by adaptive quadrature rounds this out for checking
 transform pairs.
@@ -62,8 +65,8 @@ class StepperControls:
     t_end: float = 5.0
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.t_end <= 0.0:
-            raise DomainError("dt and t_end must be positive")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.t_end < math.inf):
+            raise DomainError("dt and t_end must be positive and finite")
         if self.t_end / self.dt > 1e7:
             raise DomainError("grid would exceed 1e7 steps")
 
@@ -93,8 +96,8 @@ def invert_laplace(transform, t, controls=None):
     overflows on the contour) cannot slip through.
     """
     c = controls if controls is not None else TalbotControls()
-    if t <= 0.0:
-        raise DomainError("inversion needs t > 0")
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError("inversion needs a finite t > 0")
     m = c.contour_points
     scale = min(0.4 * m, _SCALE_CAP)
     v1 = _talbot_once(transform, t, m, scale)
@@ -174,9 +177,11 @@ def volterra_solve(problem: KineticProblem, controls=None):
     """Direct product-integration solution of the governing equation.
 
     Discretizes ``N = N0 f - sum_j a_j I^{nu_j} N`` on a uniform grid with
-    piecewise-linear product weights and solves step by step; no
-    Mittag-Leffler machinery is involved, making this an independent check
-    of the closed forms.  Returns ``(ts, values)``.
+    piecewise-linear product weights.  The grid equations form a
+    lower-triangular Toeplitz system, solved at once as a power-series
+    quotient (Newton inversion with FFT products); no Mittag-Leffler
+    machinery is involved, making this an independent check of the
+    closed forms.  Returns ``(ts, values)``.
     """
     c = controls if controls is not None else StepperControls()
     n_steps = int(round(c.t_end / c.dt))
@@ -190,29 +195,51 @@ def volterra_solve(problem: KineticProblem, controls=None):
     m = np.arange(n_steps + 2, dtype=float)
     bb = m * dt
     aa = np.maximum(m - 1.0, 0.0) * dt
-    weights = []
-    diag = 0.0
+    # grid step k >= 1 reads
+    #   sum_{i=1}^{k} kern[k-i] out[i] + head[k-1] out[0] = n0 f[k];
+    # column 0 has no wb term, so it is not Toeplitz and moves to the right
+    kern = np.zeros(n_steps)
+    head = np.zeros(n_steps)
     for nu, rate in zip(problem.nus, problem.rates):
         wa, wb = _lr_uniform(aa, bb, nu - 1.0)
         g = gamma_recip(nu)
         wa *= g
         wb *= g
-        weights.append((rate, wa, wb))
-        diag += rate * wb[1]
-    denom = 1.0 + diag
-    if abs(denom) < 1e-14:
+        kern += rate * (wa[:n_steps] + wb[1:n_steps + 1])
+        head += rate * wa[1:n_steps + 1]
+    kern[0] += 1.0
+    if abs(kern[0]) < 1e-14:
         raise SingularStep("the implicit update coefficient vanishes")
     out = np.empty(n_steps + 1)
     out[0] = problem.n0 * fs[0]
-    for k in range(1, n_steps + 1):
-        acc = 0.0
-        for rate, wa, wb in weights:
-            hist = np.dot(wa[1: k + 1], out[k - 1:: -1])
-            if k > 1:
-                hist += np.dot(wb[2: k + 1], out[k - 1: 0: -1])
-            acc += rate * hist
-        out[k] = (problem.n0 * fs[k] - acc) / denom
+    rhs = problem.n0 * fs[1:] - head * out[0]
+    out[1:] = _cyclic(rhs, _series_reciprocal(kern), 2 * n_steps)[:n_steps]
     return ts, out
+
+
+def _cyclic(a, b, size):
+    # cyclic convolution over the first power of two >= size; numpy.fft,
+    # not the solver's FFT plumbing, keeps the oracle independent
+    n = 1 << (size - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)
+
+
+def _series_reciprocal(c):
+    # first len(c) coefficients of 1 / sum_k c[k] x^k by Newton doubling,
+    # g <- g + g (1 - c g): each pass doubles the coefficients held
+    sizes = []
+    n = len(c)
+    while n > 1:
+        sizes.append(n)
+        n = (n + 1) // 2
+    g = np.array([1.0 / c[0]])
+    for size in reversed(sizes):
+        held = len(g)
+        # coefficients held..size-1 of c g; with a cyclic length >= size
+        # the wrapped part of the product lands below held
+        miss = _cyclic(c[:size], g, size)[held:size]
+        g = np.concatenate([g, -_cyclic(g, miss, size)[:size - held]])
+    return g
 
 
 def _lr_uniform(aa, bb, q):

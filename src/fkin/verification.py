@@ -21,7 +21,7 @@ from .diffusion import (
     fundamental_solution,
     levy_density,
 )
-from .errors import FkinError
+from .errors import DomainError, FkinError
 from .fracops import ConvolutionControls
 from .kinetics import (
     KineticProblem,
@@ -553,8 +553,10 @@ def verify_problem(problem, ts, dt=1.0 / 512.0):
     interpolation error sits below the stepper's own accuracy.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if ts.size == 0 or np.any(ts <= 0.0):
-        raise FkinError("verification times must be positive")
+    if ts.size == 0 or not np.all((ts > 0.0) & np.isfinite(ts)):
+        raise DomainError("verification times must be positive and finite")
+    if not 0.0 < dt < math.inf:
+        raise DomainError("dt must be positive and finite")
     route, closed = _closed_route(problem, ts)
     inverted = np.array([invert_laplace(lambda s: laplace_domain(problem, s),
                                         t) for t in ts])

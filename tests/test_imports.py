@@ -1,6 +1,7 @@
 """What importing fkin loads: the libraries a run does not use stay
 unloaded until their first use."""
 
+import ast
 import json
 import os
 import subprocess
@@ -13,7 +14,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 _SCRIPT = """
 import json, sys
 
-WATCHED = ("scipy.integrate", "scipy.signal", "scipy.optimize", "mpmath")
+WATCHED = ("scipy.integrate", "scipy.signal", "scipy.optimize", "scipy.fft",
+           "mpmath")
 
 
 def loaded():
@@ -27,10 +29,12 @@ stages["import"] = loaded()
 from fkin import (ConvolutionControls, KineticProblem, Unit, forward_laplace,
                   solve_multiterm_grid, verify_problem)
 
+verify_problem(KineticProblem(1.0, (0.5,), (1.0,), Unit()), [0.5])
+stages["verify"] = loaded()
+
 problem = KineticProblem(1.0, (0.5, 1.0), (1.0, 0.3), Unit())
 solve_multiterm_grid(problem, 0.25,
                      controls=ConvolutionControls(points_per_unit=64))
-verify_problem(KineticProblem(1.0, (0.5,), (1.0,), Unit()), [0.5])
 stages["run"] = loaded()
 
 forward_laplace(lambda t: 1.0, 2.0)
@@ -51,8 +55,33 @@ def _stages():
 def test_libraries_load_at_their_first_use():
     stages = _stages()
     assert stages["import"] == []
+    # the stepper's Toeplitz solve runs on numpy.fft, apart from the
+    # solver's scipy.fft grid convolutions
+    assert "scipy.fft" not in stages["verify"]
+    assert "scipy.fft" in stages["run"]
     # a grid solve and a verification use neither quadrature nor scipy.signal
     assert "scipy.integrate" not in stages["run"]
     assert "scipy.signal" not in stages["run"]
     # the deferred import works where quadrature is used
     assert "scipy.integrate" in stages["forward"]
+
+
+def test_oracles_import_nothing_from_fracops():
+    # the stepper must share no numerical plumbing with the solver
+    tree = ast.parse((SRC / "fkin" / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any("fracops" in name for name in imported)
+
+
+def test_verification_binds_the_stepper_by_name():
+    # bench/tracing.py wraps the stepper where fkin.verification binds it
+    import fkin.oracles
+    import fkin.verification
+
+    assert fkin.verification.volterra_solve is fkin.oracles.volterra_solve

@@ -9,12 +9,14 @@ import pytest
 from fkin.errors import (DomainError, OracleFailure, SingularStep,
                          TruncationWarning)
 from fkin.fracops import SampledFunction
-from fkin.kinetics import (KineticProblem, PowerLaw, Sampled, Unit,
-                           laplace_domain, solve_power_closed,
+from fkin.kinetics import (KineticProblem, MLForcing, PowerLaw, Sampled,
+                           Unit, laplace_domain, solve_power_closed,
                            solve_single_term)
-from fkin.oracles import (StepperControls, TalbotControls, forward_laplace,
-                          invert_laplace, laplace_image, volterra_solve)
-from fkin.specfun import ml_one
+from fkin.oracles import (StepperControls, TalbotControls, _lr_uniform,
+                          forward_laplace, invert_laplace, laplace_image,
+                          volterra_solve)
+from fkin.specfun import gamma_recip, ml_one
+from fkin.verification import verify_problem
 
 # frozen from an extended-precision series evaluation
 ML1_HALF_NEG1 = 0.427583576155807
@@ -106,6 +108,10 @@ class TestInvert:
     def test_argument_validation(self):
         with pytest.raises(DomainError):
             invert_laplace(lambda s: 1.0 / s, 0.0)
+        for t in (math.nan, math.inf):
+            # the image would never be evaluated at a non-finite t
+            with pytest.raises(DomainError):
+                invert_laplace(lambda s: pytest.fail("image evaluated"), t)
         with pytest.raises(DomainError):
             TalbotControls(contour_points=15)
         with pytest.raises(DomainError):
@@ -140,7 +146,65 @@ class TestRoundTrip:
                 assert abs(invert_laplace(F, t) - f(t)) < 1e-8
 
 
+def _volterra_by_step(problem, controls):
+    # the stepper as one Python step per grid point: the reference for
+    # the Toeplitz solve of the same discrete equations
+    dt = controls.dt
+    n_steps = int(round(controls.t_end / dt))
+    ts = dt * np.arange(n_steps + 1)
+    fs = np.asarray(problem.forcing.value(ts), dtype=float)
+    m = np.arange(n_steps + 2, dtype=float)
+    bb = m * dt
+    aa = np.maximum(m - 1.0, 0.0) * dt
+    weights = []
+    diag = 0.0
+    for nu, rate in zip(problem.nus, problem.rates):
+        wa, wb = _lr_uniform(aa, bb, nu - 1.0)
+        g = gamma_recip(nu)
+        wa *= g
+        wb *= g
+        weights.append((rate, wa, wb))
+        diag += rate * wb[1]
+    denom = 1.0 + diag
+    out = np.empty(n_steps + 1)
+    out[0] = problem.n0 * fs[0]
+    for k in range(1, n_steps + 1):
+        acc = 0.0
+        for rate, wa, wb in weights:
+            hist = np.dot(wa[1: k + 1], out[k - 1:: -1])
+            if k > 1:
+                hist += np.dot(wb[2: k + 1], out[k - 1: 0: -1])
+            acc += rate * hist
+        out[k] = (problem.n0 * fs[k] - acc) / denom
+    return ts, out
+
+
+_STEPPER_PANEL = {
+    "classical": KineticProblem(1, (1.0,), (1.0,), Unit()),
+    "half-order": KineticProblem(1, (0.5,), (1.0,), Unit()),
+    "two-term": KineticProblem(1, (0.5, 1.0), (1.0, 0.5), Unit()),
+    "three-term": KineticProblem(1, (0.5, 0.9, 1.6), (0.4, 0.2, 0.1),
+                                 Unit()),
+    "oscillator": KineticProblem(1, (2.0,), (1.0,), Unit()),
+    "growth": KineticProblem(1, (0.5, 1.0), (-1.0, -0.5), Unit()),
+    "power-2": KineticProblem(1, (0.5,), (1.0,), PowerLaw(2.0)),
+    "ml-forcing": KineticProblem(2.0, (0.5, 1.0), (2.0 ** 0.5, 0.5),
+                                 MLForcing(0.5, 2.0, 1.5, c=0.5)),
+}
+
+
 class TestVolterra:
+    @pytest.mark.parametrize("name", sorted(_STEPPER_PANEL))
+    @pytest.mark.parametrize("steps_per_unit", [512, 2048])
+    def test_matches_step_by_step(self, name, steps_per_unit):
+        problem = _STEPPER_PANEL[name]
+        controls = StepperControls(dt=1.0 / steps_per_unit, t_end=2.0)
+        ts, vals = volterra_solve(problem, controls)
+        ref_ts, ref = _volterra_by_step(problem, controls)
+        assert np.array_equal(ts, ref_ts)
+        assert vals[0] == problem.n0 * float(problem.forcing.value(0.0))
+        assert np.max(np.abs(vals - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_classical_decay(self):
         p = KineticProblem(1, (1.0,), (1.0,), Unit())
         ts, vals = volterra_solve(p, StepperControls(dt=1.0 / 512, t_end=5.0))
@@ -188,6 +252,18 @@ class TestVolterra:
             StepperControls(dt=0.0)
         with pytest.raises(DomainError):
             StepperControls(dt=1e-9, t_end=1e3)
+
+    @pytest.mark.parametrize("field", ["dt", "t_end"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_controls_rejected(self, field, value):
+        with pytest.raises(DomainError):
+            StepperControls(**{field: value})
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0])
+    def test_verify_problem_rejects_bad_step(self, dt):
+        p = KineticProblem(1, (0.5,), (1.0,), Unit())
+        with pytest.raises(DomainError):
+            verify_problem(p, [0.5], dt=dt)
 
 
 def test_image_matches_transform():
