@@ -21,11 +21,15 @@ Gauss-Legendre rules that must agree, so every returned value is
 trustworthy or an exception.  Up to the switch the two residue families
 of the solution cancel each other too little to fail their joint
 double-precision rounding guard, so the bulk is served in double
-precision, and a sum that fails it raises ``NonConvergence``.  Only the
-explicit one- and three-dimensional series, which serve as the
-cross-check of both routes, are re-summed by the one extended-precision
-engine of :mod:`fkin.specfun` when they fail their guard, with their
-tails cut at the working precision.
+precision, and a sum that fails it raises ``NonConvergence``.  The
+residue series takes one route at every radius below the switch: each
+term as whole powers of the mantissas of ``x`` and ``4 D t^alpha`` times
+a coefficient built once per call, with the powers of two applied
+exactly, so it keeps its digits from the switch down to the smallest
+radii.  Only the explicit one- and three-dimensional series, which serve
+as the cross-check of the series and the integral, are re-summed by the
+one extended-precision engine of :mod:`fkin.specfun` when they fail
+their guard, with their tails cut at the working precision.
 
 Both solutions and the stable density take a 1-D array of radii or
 times as well as one point.  The coefficients of their series do not
@@ -70,10 +74,6 @@ _LOG_UNDERFLOW = -746.0
 # three-dimensional solutions come from Kanter's integral, not the series;
 # below it the residue families cancel too little to fail their guard
 _KANTER_B = 1.0
-# below B = _NEAR_ORIGIN_B the residue series is summed in powers of x, not
-# through ``exp(powers * log(B) + logs)``, whose rounding grows with
-# |log B|: up to 2e-15 below B = 1e-4, 5e-14 near x = 1e-140
-_NEAR_ORIGIN_B = 1e-3
 # Kanter panels end where c (A - A(0)) reaches these levels; the last one
 # cuts the integral where the integrand has fallen by e^-60
 _KANTER_LEVELS = (1.0, 3.0, 7.0, 14.0, 25.0, 40.0, 60.0)
@@ -156,7 +156,8 @@ def _alt_sum(w, rg):
 
 def _alt_series(alpha, A, drop):
     """sum_m (-sqrt(A))^m rgamma(1 - drop alpha - alpha m/2) / m!, re-summed
-    in extended precision when the double sum fails its guard."""
+    in extended precision, with a coefficient table of its own, when the
+    double sum fails its guard."""
     total, converged, clean = _alt_sum(
         math.sqrt(A), _alt_coefficients(1.0 - drop * alpha, alpha / 2.0))
     if converged and clean:
@@ -168,7 +169,7 @@ def _alt_series(alpha, A, drop):
         am = mp.mpf(alpha)
         return [_Family(1, -mp.sqrt(A), (), (1,), 1 - drop * am, -am / 2)]
 
-    return _sum_extended(build, None, _MP_BUDGET)
+    return _sum_extended(build, None, _MP_BUDGET, {})
 
 
 def series_n1(alpha, A):
@@ -228,10 +229,10 @@ def asymptotic_n2(alpha, x, t):
 
 
 def _residue_coefficients(alpha, n_dim):
-    """The parts of the terms of :func:`_two_sum` that do not depend on
-    ``B``, one row per residue family: the powers ``p0 + l`` of ``B`` and
-    the log magnitudes and signs of
-    ``(-1)^l Gamma(c0 - l) rg(d0 - alpha l) / l!``."""
+    """The parts of the terms of :func:`_residue_sum` that do not depend on
+    ``x``, one row per residue family: the powers ``p = p0 + l`` of ``B``,
+    the powers ``2p - n`` of ``x``, and the signs and magnitudes of
+    ``(-1)^l Gamma(c0 - l) rg(d0 - alpha l) / l!`` times ``pi^(-n/2)``."""
     fams = (
         (1.0 - n_dim / 2.0, n_dim / 2.0, 1.0 - alpha * n_dim / 2.0),
         (n_dim / 2.0 - 1.0, 1.0, 1.0 - alpha),
@@ -255,64 +256,49 @@ def _residue_coefficients(alpha, n_dim):
     # to the switch to Kanter's integral
     n = np.flatnonzero(np.any(logs + powers * math.log(_KANTER_B)
                               >= _LOG_UNDERFLOW, axis=0))[-1] + 1
-    return powers[:, :n], logs[:, :n], np.array(signs)[:, :n]
+    powers, logs = powers[:, :n], logs[:, :n]
+    return (powers, 2.0 * powers - n_dim, np.array(signs)[:, :n],
+            np.exp(logs - 0.5 * n_dim * math.log(math.pi)))
 
 
-def _two_sum(coeffs, B):
-    """The double pole-residue series of the contour solution, at
-    ``0 <= B <= _KANTER_B``, the range whose nonzero terms the
-    coefficients keep.
-
+def _residue_sum(coeffs, x, scale):
+    """The double pole-residue series of the contour solution at radius
+    ``x > 0`` and ``B = x^2/scale <= _KANTER_B``, ``scale = 4 D t^alpha``,
+    the range whose nonzero terms the coefficients keep:
+    ``(sqrt(pi) x)^(-n)`` times
     ``sum_l (-1)^l Gamma(1-n/2-l) B^(n/2+l) rg(1-alpha n/2-alpha l)/l!
-    + sum_l (-1)^l Gamma(n/2-1-l) B^(1+l) rg(1-alpha-alpha l)/l!``
-    from the rows of ``coeffs`` (:func:`_residue_coefficients`), through
-    log magnitudes so no intermediate factor overflows.  The two families
-    cancel each other as B grows, so the rounding guard weighs both
-    together; a sum that fails it raises ``NonConvergence``.
-    """
-    powers, logs, signs = coeffs
-    logw = math.log(B) if B > 0.0 else -math.inf
-    return _guarded_sum(signs * np.exp(powers * logw + logs), f"B={B:g}")
-
-
-def _two_sum_near_origin(coeffs, n_dim, x, scale):
-    """``(sqrt(pi) x)^(-n) _two_sum(coeffs, B)`` at a radius so small that
-    ``B = x^2/scale`` is below ``_NEAR_ORIGIN_B`` or the prefactor leaves
-    the double range.
+    + sum_l (-1)^l Gamma(n/2-1-l) B^(1+l) rg(1-alpha-alpha l)/l!``,
+    from the rows of ``coeffs`` (:func:`_residue_coefficients`).
 
     Each power ``p`` of ``B`` gives the term ``x^(2p-n) scale^-p
     pi^(-n/2)`` times its coefficient.  With ``x = mx 2^ex`` and ``scale =
     ms 2^es`` split exactly (``mx`` in [1/2, 1), ``ms`` in [1/2, 2) and
-    ``es`` even, so ``2^(es p)`` is a whole power of two), the powers of
-    ``mx`` and ``ms`` are taken whole, the coefficient through its log,
-    and the powers of two by ``ldexp``: no large logs cancel, and no
-    factor leaves the double range unless the term does, whatever
-    ``D t^alpha`` is.  Every power of ``x`` is -1 or more, so a value past
-    the double range (at D = t = 1, a radius below about 1e-308) raises
-    ``NonConvergence``.
+    ``es`` even), the powers of ``mx`` and ``ms`` are taken whole and
+    those of two exactly, so no large logs cancel.  The terms are summed
+    under the largest of their powers of two and scaled back by one
+    ``ldexp``: no term leaves the double range on its own, and the value
+    is rounded into it once.  The families cancel each other as B grows,
+    so the rounding guard of :func:`_fsum_with_guard` weighs both
+    together; a sum that fails it, or a value past the double range (at
+    D = t = 1, a radius below about 1e-308), raises ``NonConvergence``.
     """
-    powers, logs, signs = coeffs
+    powers, xpow, signs, mags = coeffs
     mx, ex = math.frexp(x)
     ms, es = math.frexp(scale)
     if es % 2:
         ms, es = 2.0 * ms, es - 1
-    xpow = 2.0 * powers - n_dim
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.ldexp(
-            signs * np.power(mx, xpow) * np.power(ms, -powers)
-            * np.exp(logs - 0.5 * n_dim * math.log(math.pi)),
-            (ex * xpow - es * powers).astype(np.int64))
-    return _guarded_sum(terms, f"x={x:g}")
-
-
-def _guarded_sum(terms, where):
-    """The fsum of the residue terms; raises ``NonConvergence`` when they
-    fail the rounding guard of :func:`_fsum_with_guard`."""
-    total, converged, clean = _fsum_with_guard(terms)
+        mant = signs * np.power(mx, xpow) * np.power(ms, -powers) * mags
+    exps = (ex * xpow - es * powers).astype(np.int64)
+    top = int(exps.max())
+    total, converged, clean = _fsum_with_guard(np.ldexp(mant, exps - top))
     if not (converged and clean):
         raise NonConvergence(
-            f"residue series at {where} fails its rounding guard")
-    return total
+            f"residue series at x={x:g} fails its rounding guard")
+    if math.frexp(total)[1] + top > 1024:
+        raise NonConvergence(
+            f"residue series at x={x:g} is beyond the double range")
+    return math.ldexp(total, top)
 
 
 # Taylor coefficients of sin(x)/x - 1 in powers of x^2, to x^20
@@ -461,8 +447,12 @@ def fundamental_solution(p: DiffusionProblem, x, t):
     call and shared by its radii.  Dimensions 1 and 3 evaluate the double
     pole-residue series of the contour-integral solution at
     ``B = x^2/(4 D t^alpha)`` with the ``|sqrt(pi) x|^(-n)`` prefactor up
-    to ``B = 1``, two diffusion lengths; a sum that fails its
-    rounding guard raises ``NonConvergence``.  Past it they evaluate
+    to ``B = 1``, two diffusion lengths, by one route at every radius
+    (:func:`_residue_sum`); a sum that fails its rounding guard, or a
+    value past the double range, raises ``NonConvergence``.  In one
+    dimension the origin, and a radius with ``B^(1/2) <= 1e-20``, take
+    the origin value ``rgamma(1 - alpha/2) / (2 sqrt(D) t^(alpha/2))``,
+    which the series would give to rounding.  Past ``B = 1`` they evaluate
     Kanter's integral directly, with no series attempt; a quadrature whose
     two rules disagree raises ``NonConvergence``, as does ``B`` beyond
     ``_MAX_A/4``.  The explicit one- and three-dimensional sums serve as
@@ -491,7 +481,7 @@ def fundamental_solution(p: DiffusionProblem, x, t):
             # the origin, or a radius whose terms past the first are
             # B^(1/2) <= 1e-20 of it and less; a B that underflows while
             # B^(1/2) still counts (D t^alpha below about 1e-290) is
-            # summed near the origin
+            # summed by the series
             out[i] = gamma_recip(1.0 - p.alpha / 2.0) \
                 / (2.0 * math.sqrt(d) * t ** (p.alpha / 2.0))
             continue
@@ -503,14 +493,7 @@ def fundamental_solution(p: DiffusionProblem, x, t):
             continue
         if coeffs is None:
             coeffs = _residue_coefficients(p.alpha, p.dim)
-        try:
-            prefactor = (math.sqrt(math.pi) * xi) ** (-p.dim)
-        except OverflowError:
-            prefactor = math.inf
-        if B >= _NEAR_ORIGIN_B and prefactor < math.inf:
-            out[i] = prefactor * _two_sum(coeffs, B)
-        else:
-            out[i] = _two_sum_near_origin(coeffs, p.dim, xi, scale)
+        out[i] = _residue_sum(coeffs, xi, scale)
     return float(out[0]) if scalar else out
 
 

@@ -17,6 +17,7 @@ digits the difference leaves.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -55,20 +56,20 @@ _GRADING = 2
 class ConvolutionControls:
     """Mesh density and series budget for singular convolutions.
 
-    ``points_per_unit`` fixes the cell count per unit of integration length,
-    never below 64 cells.  The mesh is graded quadratically towards both
-    ends, and every value is recomputed on the doubled mesh and
-    extrapolated, upgrading the O(h^2) interpolation error of the product
-    rule to O(h^4).  ``series`` bounds the modulator terms folded into the
-    weights.
+    ``points_per_unit``, finite and at least 1 but not necessarily whole,
+    fixes the cell count per unit of integration length, never below 64
+    cells.  The mesh is graded quadratically towards both ends, and every
+    value is recomputed on the doubled mesh and extrapolated, upgrading
+    the O(h^2) interpolation error of the product rule to O(h^4).
+    ``series`` bounds the modulator terms folded into the weights.
     """
 
     points_per_unit: int = 512
     series: SeriesControls = field(default_factory=SeriesControls)
 
     def __post_init__(self):
-        if self.points_per_unit < 1:
-            raise DomainError("points_per_unit must be positive")
+        if not 1 <= self.points_per_unit < math.inf:
+            raise DomainError("points_per_unit must be finite and at least 1")
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,9 @@ class MLModulator:
     coef: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite,
+                       (self.beta, self.gamma_, self.delta, self.coef))):
+            raise DomainError("beta, gamma_, delta and coef must be finite")
         if self.beta <= 0.0 or self.gamma_ <= 0.0:
             raise DomainError("beta and gamma_ must be > 0")
 
@@ -128,6 +132,8 @@ def laplace_of_interpolant(sf: SampledFunction, s):
     inversion needs.  Complex ``s`` is supported; ``s = 0`` is a pole.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError("s must be finite")
     if s == 0:
         raise DomainError("the transform has a pole at s = 0")
     ts, fs = sf.ts, sf.values
@@ -322,8 +328,8 @@ def singular_convolution(f, t, power, modulator=None, controls=None,
     automatic cell count; derivative stencils rely on that to keep one
     fixed mesh family across neighboring evaluation points.
     """
-    if power <= -1.0:
-        raise DomainError("kernel exponent must exceed -1")
+    if not -1.0 < power < math.inf:
+        raise DomainError("kernel exponent must be finite and exceed -1")
     if not 0.0 <= t < math.inf:
         raise DomainError("t must be finite and nonnegative")
     if modulator is not None and not isinstance(modulator, MLModulator):
@@ -377,8 +383,8 @@ def singular_convolution_grid(fs, dt, power, modulator=None, series=None):
     discrete convolutions, evaluated by FFT: ``a[m], b[m]`` weight the
     samples ``m`` and ``m - 1`` cells before the target time.
     """
-    if power <= -1.0:
-        raise DomainError("kernel exponent must exceed -1")
+    if not -1.0 < power < math.inf:
+        raise DomainError("kernel exponent must be finite and exceed -1")
     if not 0.0 < dt < math.inf:
         raise DomainError("dt must be finite and positive")
     fs = np.asarray(fs, dtype=float)

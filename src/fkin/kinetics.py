@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -194,8 +195,10 @@ class TruncationPolicy:
     max_compositions: int = 200_000
 
     def __post_init__(self):
-        if self.l_max < 0:
-            raise DomainError("l_max must be >= 0")
+        for name in ("l_max", "max_compositions"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 0):
+                raise DomainError(f"{name} must be a nonnegative integer")
 
 
 def laplace_domain(problem: KineticProblem, s, _denominator_sign=1.0):

@@ -11,7 +11,7 @@ fail the guard with ``beta <= 1`` and ``z < 0`` go first to
 two parabolic contours in double precision and certifies a value only
 when the two agree and it passes the same rounding guard.  Every other
 rescued entry goes to ``_sum_extended``, the one extended-precision
-engine, which also rescues the residue series of :mod:`fkin.diffusion`:
+engine, which also rescues the explicit series of :mod:`fkin.diffusion`:
 it sums families of terms ``c x^k C_k``, where the coefficients ``C_k =
 prod(a)_k / prod(b)_k rgamma(g0 + s k)`` do not depend on ``x``, sizes its
 first pass from a double scan of the log term magnitudes, and certifies a
@@ -22,9 +22,10 @@ they share one table of ``C_k`` per working precision, built as the terms
 ask for it and dropped when the call returns; their digits are rounded up
 to multiples of 10 so nearby entries meet on one precision, and each entry
 still picks its digits alone, so its value does not depend on its batch.
-Lone sums (the diffusion residues) keep their exact digits.
-``mpmath`` is imported by this engine alone, on its first sum, so a run
-that never rescues an entry in extended precision never loads it.
+A sum alone (an explicit diffusion series) runs the same way under a
+table of its own.  ``mpmath`` is imported by this engine alone, on its
+first sum, so a run that never rescues an entry in extended precision
+never loads it.
 No asymptotic expansions are used.  Past the series radius only ``beta <=
 1``, ``z < 0`` is served, by the contour alone; every other argument there,
 and a contour value that does not certify, raises ``NonConvergence``
@@ -34,6 +35,7 @@ instead of silently degrading.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -77,8 +79,8 @@ _MP_PASSES = 4
 # mpf at the default precision.
 _MP_CERT = 1e-19
 _MP_FLOOR = "1e-330"
-# The digits of every pass of a sum that shares a coefficient table are
-# rounded up to a multiple of this.
+# The digits of every extended-precision pass are rounded up to a multiple
+# of this.
 _DPS_STEP = 10
 # Terms the log-magnitude scan looks at to size the first pass.
 _SCAN_TERMS = 4096
@@ -113,7 +115,8 @@ class SeriesControls:
     max_terms: int = 500
 
     def __post_init__(self):
-        if self.max_terms < 1:
+        if not (isinstance(self.max_terms, numbers.Integral)
+                and self.max_terms >= 1):
             raise DomainError("max_terms must be a positive integer")
 
 
@@ -166,10 +169,13 @@ def _gamma_recip_array(x):
 
 
 def pochhammer(delta, tau):
-    """Rising factorial ``(delta)_tau`` for integer ``tau >= 0``."""
-    tau = int(tau)
-    if tau < 0:
+    """Rising factorial ``(delta)_tau`` for finite ``delta`` and integer
+    ``tau >= 0``."""
+    if not math.isfinite(delta):
+        raise DomainError("delta must be finite")
+    if not (float(tau).is_integer() and tau >= 0):
         raise DomainError("tau must be a nonnegative integer")
+    tau = int(tau)
     out = 1.0
     for i in range(tau):
         out *= delta + i
@@ -229,7 +235,7 @@ class _Coefficients:
             self.q /= b + k
 
 
-def _sum_extended(build, tol, budget, positive=False, shared=None):
+def _sum_extended(build, tol, budget, table, positive=False):
     """Sum of the families ``build()`` returns, in extended precision.
 
     ``build`` forms the family constants at the precision it is called
@@ -252,13 +258,12 @@ def _sum_extended(build, tol, budget, positive=False, shared=None):
     of the last.  With ``positive`` every term is positive, and a peak
     term past the double range gives ``inf`` without a pass.
 
-    ``shared`` is a coefficient table (a dict) the caller hands to every
-    sum of one batch, so sums that differ only in ``c`` and ``x`` compute
-    each ``C_k`` once.  With a table every pass rounds its digits up to a
-    multiple of ``_DPS_STEP``, so sums whose peaks differ by a few digits
-    meet on one precision; the digits still depend on the sum alone, so a
-    value does not depend on its batch.  Without one the sum keeps its
-    exact digits and a table of its own, dropped when it returns.
+    ``table`` is the coefficient table (a dict) the caller hands to every
+    sum of one batch, or a fresh one for a sum alone, so sums that differ
+    only in ``c`` and ``x`` compute each ``C_k`` once.  Every pass rounds
+    its digits up to a multiple of ``_DPS_STEP``, so sums whose peaks
+    differ by a few digits meet on one precision; the digits still depend
+    on the sum alone, so a value does not depend on its batch.
     """
     import mpmath as mp
 
@@ -277,11 +282,9 @@ def _sum_extended(build, tol, budget, positive=False, shared=None):
                 log_peak = max(log_peak, float(np.max(finite)))
     if positive and log_peak > _LOG_MAX:
         return math.inf
-    step = 1 if shared is None else _DPS_STEP
-    table = {} if shared is None else shared
 
     def digits(d):
-        return min(_MAX_DPS, -(-d // step) * step)
+        return min(_MAX_DPS, -(-d // _DPS_STEP) * _DPS_STEP)
 
     dps = digits(30 + int(max(log_peak, 0.0) / math.log(10.0)))
     floor = mp.mpf(_MP_FLOOR)
@@ -474,7 +477,7 @@ def _ml_rescue(beta, gamma_, delta, zs, ctrl):
             found, certified = _ml_contour(beta, gamma_, delta, zs[neg])
             value[neg[certified]] = found[certified]
             pending[neg[certified]] = False
-    shared = {}
+    table = {}
     for i in np.flatnonzero(pending):
         z = float(zs[i])
 
@@ -484,9 +487,8 @@ def _ml_rescue(beta, gamma_, delta, zs, ctrl):
             return [_Family(1, mp.mpf(z), (mp.mpf(delta),), (1,),
                             mp.mpf(gamma_), mp.mpf(beta))]
 
-        value[i] = _sum_extended(build, _SERIES_TOL, ctrl.max_terms,
-                                 positive=z > 0.0 and delta > 0.0,
-                                 shared=shared)
+        value[i] = _sum_extended(build, _SERIES_TOL, ctrl.max_terms, table,
+                                 positive=z > 0.0 and delta > 0.0)
     return value
 
 

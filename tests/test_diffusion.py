@@ -175,9 +175,27 @@ class TestThreeDimensions:
         for x in (1e-150, 1e-170):
             assert rel(fundamental_solution(p, x, 3.0),
                        (4.0 * math.pi * 0.5 * 3.0) ** -1.5) < 1e-13
-        # a value past the double range is a typed failure
-        with pytest.raises(NonConvergence):
-            fundamental_solution(DiffusionProblem(0.5, 1.0, 3), 1e-320, 1.0)
+        # a value past the double range (about 1e319 and 1e449) is a typed
+        # failure that says so
+        for d, x in ((1.0, 1e-320), (1e-300, 1.4e-150)):
+            with pytest.raises(NonConvergence, match="double range"):
+                fundamental_solution(DiffusionProblem(0.5, d, 3), x, 1.0)
+
+    def test_values_at_the_edges_of_the_double_range(self):
+        # near overflow some residue terms pass 1.8e308 while the value,
+        # about 9.4e307 or 1.7e308, does not; near underflow the value is
+        # subnormal and is rounded into the double range once
+        for alpha, d, x in ((0.05, 1e-206, 5e-104), (0.05, 1e-206, 1e-103),
+                            (0.95, 2.5e-207, 4e-104)):
+            ref = _mp_residue_solution(alpha, 3, x, 4.0 * d)
+            assert rel(fundamental_solution(DiffusionProblem(alpha, d, 3),
+                                            x, 1.0), ref) < 1e-14
+        for d in (1e205, 1e210):
+            x = 0.5 * math.sqrt(d)
+            ref = _mp_residue_solution(0.5, 3, x, 4.0 * d)
+            assert ref < 2.3e-308
+            got = fundamental_solution(DiffusionProblem(0.5, d, 3), x, 1.0)
+            assert abs(got - ref) <= 5e-324
 
 
 def _planar_projection(alpha, r, t):
@@ -412,18 +430,21 @@ class TestKanterRoute:
 def _mp_residue_solution(alpha, dim, x, scale=4.0):
     """The solution at ``4 D t^alpha = scale`` (D = t = 1 by default) from
     the double pole-residue series, summed term by term in mpmath at 60
-    digits, ``alpha``, ``x`` and ``scale`` promoted as exact doubles."""
+    digits until three terms in a row fall below 1e-80 of the largest of
+    their family, ``alpha``, ``x`` and ``scale`` promoted as exact
+    doubles."""
     with mp.workdps(60):
         a, xm = mp.mpf(alpha), mp.mpf(x)
         B, h = xm * xm / mp.mpf(scale), mp.mpf(dim) / 2
         total = mp.mpf(0)
         for c0, p0, d0 in ((1 - h, h, 1 - a * h), (h - 1, 1, 1 - a)):
-            small = 0
+            small, big = 0, mp.mpf(0)
             for l in range(4000):
                 term = ((-1) ** l * mp.gamma(c0 - l) * B ** (p0 + l)
                         * mp.rgamma(d0 - a * l) / mp.factorial(l))
                 total += term
-                small = small + 1 if abs(term) < mp.mpf(10) ** -80 else 0
+                big = max(big, abs(term))
+                small = small + 1 if abs(term) <= big * 1e-80 else 0
                 if small == 3:
                     break
             else:
@@ -448,12 +469,18 @@ class TestSwitch:
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_bulk_in_double_precision(self, dim):
-        for alpha in (1e-3, 0.05, 0.5, 0.95, 1.0, 0.13, 0.315, 0.685, 0.87):
-            p = DiffusionProblem(alpha, 1.0, dim)
-            for B in np.append(np.geomspace(1e-8, 1.0, 9), 0.7):
-                x = 2.0 * math.sqrt(B)
-                assert rel(fundamental_solution(p, x, 1.0),
-                           _mp_residue_solution(alpha, dim, x)) < 1e-13
+        # also at 4 D t^alpha far from 4, where x and 4 D t^alpha are far
+        # from 1 while B is not
+        for d, t in ((1.0, 1.0), (1e-100, 1.0), (1e-9, 1.0), (1e100, 1.0),
+                     (1.0, 1e6)):
+            for alpha in (1e-3, 0.05, 0.5, 0.95, 1.0, 0.13, 0.315, 0.685,
+                          0.87):
+                p = DiffusionProblem(alpha, d, dim)
+                scale = 4.0 * d * t ** alpha
+                for B in np.append(np.geomspace(1e-8, 1.0, 9), 0.7):
+                    x = math.sqrt(scale * B)
+                    ref = _mp_residue_solution(alpha, dim, x, scale)
+                    assert rel(fundamental_solution(p, x, t), ref) < 1e-13
 
     @pytest.mark.parametrize("d, t", [(1.0, 1.0), (1e-9, 1.0), (1.0, 1e6),
                                       (1e-100, 1.0), (1e100, 1.0)])
@@ -461,13 +488,10 @@ class TestSwitch:
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95, 1.0])
     def test_small_radii_to_the_last_digits(self, alpha, dim, d, t):
         # the log of a tiny B must not round into every term, and no power
-        # of x or of 4 D t^alpha may leave the double range on its own: at
-        # D = t = 1, x = 10^-k for k = 1..150; elsewhere the same B = 10^-2k/4
-        # from k = 2, all of them on the near-origin route (at k = 1, on the
-        # B route, D = 1e-9 misses by 1.1e-15)
+        # of x or of 4 D t^alpha may leave the double range on its own:
+        # B = 10^-2k/4 for k = 1..150, which is x = 10^-k at D = t = 1
         scale = 4.0 * d * t ** alpha
-        first = 1.0 if d == t == 1.0 else 2.0
-        xs = math.sqrt(scale / 4.0) * 10.0 ** -np.arange(first, 151.0)
+        xs = math.sqrt(scale / 4.0) * 10.0 ** -np.arange(1.0, 151.0)
         got = fundamental_solution(DiffusionProblem(alpha, d, dim), xs, t)
         for x, value in zip(xs.tolist(), got.tolist()):
             ref = _mp_residue_solution(alpha, dim, x, scale)
@@ -482,8 +506,7 @@ class TestSwitch:
             coeffs = diffusion._residue_coefficients(alpha, dim)
             for B in (1.0 - 1e-9, 1.0 + 1e-9):
                 x = 2.0 * math.sqrt(B)
-                series = (math.sqrt(math.pi) * x) ** -dim \
-                    * diffusion._two_sum(coeffs, x * x / 4.0)
+                series = diffusion._residue_sum(coeffs, x, 4.0)
                 kanter = diffusion._kanter_solution(alpha, dim, 1.0, x, 1.0)
                 got = fundamental_solution(p, x, 1.0)
                 assert got == (series if B < 1.0 else kanter)

@@ -346,6 +346,10 @@ class TestInterpolantTransform:
         assert rel(laplace_of_interpolant(sf, 2.0), 0.5) < 1e-12
 
 
+_SAMPLED = SampledFunction(np.array([0.0, 1.0, 2.0]),
+                           np.array([1.0, 0.5, 0.2]))
+
+
 @pytest.mark.parametrize("bad", [
     lambda: SampledFunction(np.array([1.0, 2.0]), np.array([0.0, 0.0])),
     lambda: SampledFunction(np.array([0.0, 2.0, 1.0]), np.zeros(3)),
@@ -358,7 +362,24 @@ class TestInterpolantTransform:
     # only an MLModulator is folded; nothing samples another callable
     lambda: singular_convolution(lambda u: 1.0, 1.0, 0.0, math.cos),
     lambda: MLModulator(0.0, 1.0, 1.0, -1.0),
+    # non-finite arguments gave NaN, infinity or a row of NaN, and a
+    # non-finite mesh density a ValueError or an OverflowError
+    lambda: laplace_of_interpolant(_SAMPLED, math.nan),
+    lambda: laplace_of_interpolant(_SAMPLED, complex(1.0, math.inf)),
+    lambda: singular_convolution(lambda u: 1.0, 1.0, math.nan),
+    lambda: singular_convolution(lambda u: 1.0, 1.0, math.inf),
+    lambda: singular_convolution_grid(np.ones(5), 0.25, math.nan),
+    lambda: MLModulator(math.nan, 1.0, 1.0, -1.0),
+    lambda: MLModulator(0.5, math.inf, 1.0, -1.0),
+    lambda: MLModulator(0.5, 1.0, math.nan, -1.0),
+    lambda: MLModulator(0.5, 1.0, 1.0, -math.inf),
+    lambda: ConvolutionControls(points_per_unit=math.nan),
+    lambda: ConvolutionControls(points_per_unit=math.inf),
 ])
 def test_input_validation(bad):
     with pytest.raises(DomainError):
         bad()
+
+
+def test_mesh_density_may_be_fractional():
+    assert ConvolutionControls(points_per_unit=100.5).points_per_unit == 100.5

@@ -26,6 +26,21 @@ stages = {}
 import fkin.cli
 stages["import"] = loaded()
 
+import numpy as np
+from fkin import (DiffusionProblem, StableParams, fundamental_solution,
+                  levy_density)
+
+# densities tables: bulk radii in 1-D and 3-D up to four diffusion
+# lengths, bulk and small-time stable densities, and radii past B = 1
+for dim in (1, 3):
+    fundamental_solution(DiffusionProblem(0.43, 1.66, dim),
+                         np.linspace(0.28, 4.58, 8), 0.89)
+levy_density(StableParams(0.4), np.linspace(0.36, 2.85, 16))
+levy_density(StableParams(0.71), np.linspace(0.1, 0.2, 3))
+fundamental_solution(DiffusionProblem(2.0 / 3.0, 0.85, 1),
+                     np.linspace(24.8, 37.4, 3), 1.12)
+stages["densities"] = loaded()
+
 from fkin import (ConvolutionControls, KineticProblem, Unit, forward_laplace,
                   solve_multiterm_grid, verify_problem)
 
@@ -55,6 +70,9 @@ def _stages():
 def test_libraries_load_at_their_first_use():
     stages = _stages()
     assert stages["import"] == []
+    # the residue series and Kanter's integral run in double precision on
+    # numpy alone
+    assert stages["densities"] == []
     # the stepper's Toeplitz solve runs on numpy.fft, apart from the
     # solver's scipy.fft grid convolutions
     assert "scipy.fft" not in stages["verify"]

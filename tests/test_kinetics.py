@@ -344,6 +344,10 @@ def test_residual_shrinks_with_mesh():
     lambda: MLForcing(0.5, math.inf, 1.0, 0.5),
     lambda: MLForcing(math.nan, 2.0, 1.5, 0.5),
     lambda: MLForcing(0.5, 2.0, 1.5, math.inf),
+    # a fractional budget ran into a TypeError in the level loop
+    lambda: TruncationPolicy(l_max=math.nan),
+    lambda: TruncationPolicy(l_max=2.5),
+    lambda: TruncationPolicy(max_compositions=2.5),
 ])
 def test_problem_validation(bad):
     with pytest.raises(DomainError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fkin import specfun
+from fkin.diffusion import series_n1, series_n3
 from fkin.errors import DomainError, NonConvergence
 from fkin.specfun import (_EPS, _GUARD_FACTOR, _GUARD_REL, _SERIES_TOL,
                           _SMALL_TERMS, MLParams, SeriesControls, _Family,
@@ -62,6 +63,7 @@ class TestPochhammer:
     def test_rising_factorial(self):
         assert pochhammer(1.0, 5) == 120.0
         assert pochhammer(2.5, 3) == 39.375
+        assert pochhammer(2.5, 3.0) == 39.375
 
     def test_hits_zero_from_nonpositive_base(self):
         assert pochhammer(-2.0, 3) == 0.0
@@ -288,6 +290,13 @@ def test_shared_table_does_not_change_values(monkeypatch):
             assert v.tobytes() == one[0].tobytes(), (beta, gamma_, delta, z)
     digits = {args[0] for args in passes}
     assert len(digits) > 1 and all(d % 10 == 0 for d in digits)
+    # the diffusion series run the engine in the same one mode, each with
+    # a table of its own
+    for series, alpha, A in ((series_n1, 0.5, 400.0),
+                             (series_n3, 0.9, 100.0)):
+        del passes[:]
+        series(alpha, A)
+        assert passes and all(args[0] % 10 == 0 for args in passes)
 
 
 def _erfcx_rel(v, z):
@@ -307,13 +316,15 @@ def test_rescued_half_order_matches_erfcx(monkeypatch):
     assert not sums
     for z, v in zip(zs, got):
         assert _erfcx_rel(v, z) < 1e-15, z
+    table = {}
     for z in zs:
 
         def build(z=z):
             return [_Family(1, mp.mpf(z), (mp.mpf(1),), (1,), mp.mpf(1),
                             mp.mpf(0.5))]
 
-        v = _sum_extended(build, _SERIES_TOL, SeriesControls().max_terms)
+        v = _sum_extended(build, _SERIES_TOL, SeriesControls().max_terms,
+                          table)
         assert _erfcx_rel(v, z) < 1e-15, z
 
 
@@ -398,8 +409,7 @@ def test_rejected_entry_keeps_the_extended_value(monkeypatch):
         return [_Family(1, mp.mpf(z), (mp.mpf(1),), (1,), mp.mpf(1),
                         mp.mpf(1))]
 
-    ref = _sum_extended(build, _SERIES_TOL, SeriesControls().max_terms,
-                        shared={})
+    ref = _sum_extended(build, _SERIES_TOL, SeriesControls().max_terms, {})
     assert got.tobytes() == np.float64(ref).tobytes()
     assert rel(got, math.exp(z)) < 1e-15
 
@@ -506,6 +516,15 @@ def test_growing_terms_do_not_fire_the_rule():
     lambda: MLParams(0.5, 0.0, 1.0, 0.0),
     lambda: MLParams(0.5, 1.0, 1.0, math.nan),
     lambda: SeriesControls(max_terms=0),
+    # a fractional budget ran into a TypeError inside the series pass
+    lambda: SeriesControls(max_terms=2.5),
+    lambda: SeriesControls(max_terms=math.nan),
+    # these gave nan, inf, a silent truncation to tau = 2 and a bare
+    # ValueError
+    lambda: pochhammer(math.nan, 3),
+    lambda: pochhammer(math.inf, 2),
+    lambda: pochhammer(1.0, 2.5),
+    lambda: pochhammer(1.0, math.nan),
 ])
 def test_parameter_validation(bad):
     with pytest.raises(DomainError):
