@@ -261,10 +261,34 @@ def _residue_coefficients(alpha, n_dim):
             np.exp(logs - 0.5 * n_dim * math.log(math.pi)))
 
 
+def _scale_parts(d, t, alpha):
+    """``4 D t^alpha`` as ``(m, e)``, ``m`` in [1/2, 2) and ``e`` even,
+    from the exact parts of ``D`` and ``t^alpha``: it need not lie in the
+    double range, and where it does ``m 2^e`` is its double."""
+    md, ed = math.frexp(d)
+    mt, et = math.frexp(t ** alpha)
+    m, e = math.frexp(md * mt)
+    e += ed + et + 2
+    return (2.0 * m, e - 1) if e % 2 else (m, e)
+
+
+def _scaled_square(x, scale):
+    """``B = x^2 / scale`` with ``scale`` as :func:`_scale_parts` gives it,
+    ``inf`` past the double range; where ``x^2``, the scale and ``B`` are
+    all normal doubles this is the double ``x*x/scale``, bit for bit."""
+    ms, es = scale
+    mx, ex = math.frexp(x)
+    try:
+        return math.ldexp(mx * mx / ms, 2 * ex - es)
+    except OverflowError:
+        return math.inf
+
+
 def _residue_sum(coeffs, x, scale):
     """The double pole-residue series of the contour solution at radius
-    ``x > 0`` and ``B = x^2/scale <= _KANTER_B``, ``scale = 4 D t^alpha``,
-    the range whose nonzero terms the coefficients keep:
+    ``x > 0`` and ``B = x^2/scale <= _KANTER_B``, ``scale = 4 D t^alpha``
+    as :func:`_scale_parts` gives it, the range whose nonzero terms the
+    coefficients keep:
     ``(sqrt(pi) x)^(-n)`` times
     ``sum_l (-1)^l Gamma(1-n/2-l) B^(n/2+l) rg(1-alpha n/2-alpha l)/l!
     + sum_l (-1)^l Gamma(n/2-1-l) B^(1+l) rg(1-alpha-alpha l)/l!``,
@@ -274,19 +298,18 @@ def _residue_sum(coeffs, x, scale):
     pi^(-n/2)`` times its coefficient.  With ``x = mx 2^ex`` and ``scale =
     ms 2^es`` split exactly (``mx`` in [1/2, 1), ``ms`` in [1/2, 2) and
     ``es`` even), the powers of ``mx`` and ``ms`` are taken whole and
-    those of two exactly, so no large logs cancel.  The terms are summed
-    under the largest of their powers of two and scaled back by one
-    ``ldexp``: no term leaves the double range on its own, and the value
-    is rounded into it once.  The families cancel each other as B grows,
-    so the rounding guard of :func:`_fsum_with_guard` weighs both
-    together; a sum that fails it, or a value past the double range (at
-    D = t = 1, a radius below about 1e-308), raises ``NonConvergence``.
+    those of two exactly, so no large logs cancel and the scale may lie
+    outside the double range.  The terms are summed under the largest of
+    their powers of two and scaled back by one ``ldexp``: no term leaves
+    the double range on its own, and the value is rounded into it once.
+    The families cancel each other as B grows, so the rounding guard of
+    :func:`_fsum_with_guard` weighs both together; a sum that fails it, or
+    a value past the double range (at D = t = 1, a radius below about
+    1e-308), raises ``NonConvergence``.
     """
     powers, xpow, signs, mags = coeffs
     mx, ex = math.frexp(x)
-    ms, es = math.frexp(scale)
-    if es % 2:
-        ms, es = 2.0 * ms, es - 1
+    ms, es = scale
     with np.errstate(over="ignore", invalid="ignore"):
         mant = signs * np.power(mx, xpow) * np.power(ms, -powers) * mags
     exps = (ex * xpow - es * powers).astype(np.int64)
@@ -417,16 +440,31 @@ def _kanter_solution(alpha, dim, d, x, t):
     ``u1 = q r^(nu q) e^(-c A(0)) I1 / (2 ell)``; differentiating under
     the integral gives ``u3 = -(1/(2 pi x)) du1/dx``
     ``= q r^(nu q - 2) e^(-c A(0)) (q c I2 - nu q I1) / (4 pi ell^3)``.
+    For ``ell`` outside [1/2, 1e100] the divisor joins the scale
+    ``e^(-c A(0))`` in log space; a value past the double range raises
+    ``NonConvergence``.
     """
     nu = alpha / 2.0
-    ell = math.sqrt(d) * t ** nu
-    r = x / ell
     q = 1.0 / (1.0 - nu)
+    ell = math.sqrt(d) * t ** nu
+    if 0.5 <= ell <= 1e100:
+        r = x / ell
+        den = 2.0 * ell if dim == 1 else 4.0 * math.pi * ell ** 3 * r * r
+        log_den = 0.0
+    else:
+        # x / sqrt(D) is at most 64 t^nu: no part leaves the double range
+        r, den = x / math.sqrt(d) / t ** nu, 1.0
+        log_ell = 0.5 * math.log(d) + nu * math.log(t)
+        log_den = (math.log(2.0) + log_ell if dim == 1
+                   else math.log(4.0 * math.pi) + 3.0 * log_ell
+                   + 2.0 * math.log(r))
     c = r ** q
-    m1, m2 = _kanter_moments(nu, c, math.log(q) + nu * q * math.log(r))
-    if dim == 1:
-        return m1 / (2.0 * ell)
-    return (q * c * m2 - nu * q * m1) / (4.0 * math.pi * ell ** 3 * r * r)
+    m1, m2 = _kanter_moments(nu, c,
+                             math.log(q) + nu * q * math.log(r) - log_den)
+    value = m1 / den if dim == 1 else (q * c * m2 - nu * q * m1) / den
+    if not math.isfinite(value):
+        raise NonConvergence(f"density at x={x:g} is beyond the double range")
+    return value
 
 
 def _points(v, name):
@@ -449,17 +487,18 @@ def fundamental_solution(p: DiffusionProblem, x, t):
     ``B = x^2/(4 D t^alpha)`` with the ``|sqrt(pi) x|^(-n)`` prefactor up
     to ``B = 1``, two diffusion lengths, by one route at every radius
     (:func:`_residue_sum`); a sum that fails its rounding guard, or a
-    value past the double range, raises ``NonConvergence``.  In one
+    value past the double range, raises ``NonConvergence``; ``B`` and
+    ``4 D t^alpha`` need not lie in the double range.  In one
     dimension the origin, and a radius with ``B^(1/2) <= 1e-20``, take
     the origin value ``rgamma(1 - alpha/2) / (2 sqrt(D) t^(alpha/2))``,
     which the series would give to rounding.  Past ``B = 1`` they evaluate
     Kanter's integral directly, with no series attempt; a quadrature whose
-    two rules disagree raises ``NonConvergence``, as does ``B`` beyond
-    ``_MAX_A/4``.  The explicit one- and three-dimensional sums serve as
-    independent cross-checks in the test suite.  Dimension 2 has no
-    convergent series of this form and raises ``NotSupported``;
-    :func:`asymptotic_n2` gives its leading logarithmic term near the
-    origin.
+    two rules disagree raises ``NonConvergence``, as do ``B`` beyond
+    ``_MAX_A/4`` and a value past the double range.  The explicit one- and
+    three-dimensional sums serve as independent cross-checks in the test
+    suite.  Dimension 2 has no convergent series of this form and raises
+    ``NotSupported``; :func:`asymptotic_n2` gives its leading logarithmic
+    term near the origin.
     """
     if not 0.0 < t < math.inf:
         raise DomainError("t must be positive and finite")
@@ -472,16 +511,14 @@ def fundamental_solution(p: DiffusionProblem, x, t):
                            "the leading term near the origin")
     if p.dim == 3 and np.any(xs == 0.0):
         raise DomainError("the three-dimensional density diverges at x=0")
-    scale = 4.0 * d * t ** p.alpha
+    scale = _scale_parts(d, t, p.alpha)
     coeffs = None
     out = np.empty(xs.size)
     for i, xi in enumerate(xs.tolist()):
-        B = xi * xi / scale
-        if p.dim == 1 and xi <= 1e-20 * math.sqrt(scale):
+        B = _scaled_square(xi, scale)
+        if p.dim == 1 and B <= 1e-40:
             # the origin, or a radius whose terms past the first are
-            # B^(1/2) <= 1e-20 of it and less; a B that underflows while
-            # B^(1/2) still counts (D t^alpha below about 1e-290) is
-            # summed by the series
+            # B^(1/2) <= 1e-20 of it and less
             out[i] = gamma_recip(1.0 - p.alpha / 2.0) \
                 / (2.0 * math.sqrt(d) * t ** (p.alpha / 2.0))
             continue

@@ -12,7 +12,8 @@ Mittag-Leffler forcing every route writes that image as a sum of terms
 how they split the operator: binomial rates give one term, geometric rates
 telescope to two, other orders expand in resolvent levels about the
 lowest-order term.  Forcings without such an image take that expansion
-with every term a singular convolution of the forcing.
+with every term a singular convolution of the forcing.  Each route is one
+row of ``_TABLE``, its label and the plan it hands to that engine.
 """
 
 from __future__ import annotations
@@ -379,16 +380,6 @@ def _sum_levels(problem, ts, levels, level_sum, truncation):
     return vals
 
 
-def solve_multiterm(problem: KineticProblem, ts, controls=None,
-                    truncation=None):
-    """General solver for any number of distinct orders: the resolvent
-    expansion about the lowest-order term, level ``l`` a sum of Prabhakar
-    terms of degree ``l + 1 + d``, added under ``truncation``.
-    ``controls`` applies only to forcings without a Prabhakar image."""
-    return _closed(problem, ts, _expansion_plan(problem), controls,
-                   truncation)
-
-
 def solve_multiterm_grid(problem: KineticProblem, t_end, controls=None,
                          truncation=None):
     """Uniform-grid variant of :func:`solve_multiterm`.
@@ -409,31 +400,19 @@ def solve_multiterm_grid(problem: KineticProblem, t_end, controls=None,
                                      grid=True)
 
 
-def _arithmetic_step(problem):
+def _arithmetic_plan(problem):
+    """Orders ``nu, 2 nu, ...`` take the expansion plan; others None."""
     nu = problem.nus[0]
     for j, v in enumerate(problem.nus):
         if abs(v - (j + 1) * nu) > _PATTERN_TOL * max(1.0, v):
             return None
-    return nu
-
-
-def solve_arithmetic(problem: KineticProblem, ts, controls=None,
-                     truncation=None):
-    """Solver for orders in arithmetic progression ``nu, 2 nu, ...``.
-
-    The progression admits the same factored expansion as the general
-    route, with every kernel exponent a multiple of ``nu``.
-    """
-    if _arithmetic_step(problem) is None:
-        raise DomainError("orders are not an arithmetic progression j * nu")
-    return _closed(problem, ts, _expansion_plan(problem), controls,
-                   truncation)
+    return _expansion_plan(problem)
 
 
 def _binomial_plan(problem):
     """Rates ``C(n, r) c_nu^r`` on orders ``r nu`` make the operator
     ``(1 + c_nu s^-nu)^n``: that plan, or None."""
-    if _arithmetic_step(problem) is None:
+    if _arithmetic_plan(problem) is None:
         return None
     n = len(problem.nus)
     c_nu = problem.rates[0] / n
@@ -449,7 +428,7 @@ def _geometric_plan(problem):
     """Rates ``a^r`` on orders ``r nu``, ``n >= 2``, telescope to the
     operator inverse ``(1 - a s^-nu) / (1 - a^(n+1) s^-((n+1) nu))``: that
     plan, or None."""
-    if _arithmetic_step(problem) is None:
+    if _arithmetic_plan(problem) is None:
         return None
     n = len(problem.nus)
     if n < 2:
@@ -463,15 +442,105 @@ def _geometric_plan(problem):
                  numer=((1.0, 0.0), (-a, nu)))
 
 
+def _merged_plan(kind):
+    """The plan of binomial rates with a forcing of type ``kind`` whose
+    image merges with it, or None: a fully closed form."""
+    def plan_of(problem):
+        plan, f = _binomial_plan(problem), problem.forcing
+        if (plan is not None and isinstance(f, kind)
+                and _kernel(f, plan.b, plan.k) is not None):
+            return plan
+        return None
+    return plan_of
+
+
+# Every route in select_solver's order of preference: its label, its plan
+# (None where the problem does not fit), the refusal it raises when forced
+# onto a problem that does not fit, and its docstring.
+_TABLE = (
+    ("ml-closed", _merged_plan(MLForcing),
+     "needs binomial rates and matched Mittag-Leffler forcing",
+     """Fully closed solution for binomial rates with matched ML forcing.
+
+    The forcing resolvent and the operator resolvent merge, giving
+    ``N0 t^(gamma_-1) E^(delta+n)_{nu, gamma_}(-(c t)^nu)``."""),
+    ("power-closed", _merged_plan(PowerLaw),
+     "needs binomial rates and power-law forcing",
+     """Fully closed solution for binomial rates with power-law forcing:
+    ``N0 Gamma(rho) t^(rho-1) E^n_{nu, rho}(-(c t)^nu)``."""),
+    ("single", lambda p: _expansion_plan(p) if len(p.nus) == 1 else None,
+     "this route needs exactly one term",
+     """Solver for one term ``a I^nu``, ``a`` of either sign: the operator
+    inverse ``(1 + a s^-nu)^-1``."""),
+    ("binomial", _binomial_plan, "rates do not follow the binomial pattern",
+     """Solver for binomially weighted rates ``C(n, r) c^(nu r)``.
+
+    The full operator is then ``(1 + c^nu I^nu)^n``, so the solution is a
+    single Prabhakar term of degree ``n + d``."""),
+    ("geometric", _geometric_plan, "rates do not follow the geometric pattern",
+     """Solver for geometric rates ``a^r`` on orders ``r nu``, ``n >= 2``.
+
+    The geometric sum telescopes, leaving two kernels of order
+    ``(n+1) nu`` with argument ``a^(n+1) t^((n+1) nu)``."""),
+    ("arithmetic", _arithmetic_plan,
+     "orders are not an arithmetic progression j * nu",
+     """Solver for orders in arithmetic progression ``nu, 2 nu, ...``.
+
+    The progression admits the same factored expansion as the general
+    route, with every kernel exponent a multiple of ``nu``."""),
+    ("multiterm", _expansion_plan, None,
+     """General solver for any number of distinct orders: the resolvent
+    expansion about the lowest-order term, level ``l`` a sum of Prabhakar
+    terms of degree ``l + 1 + d``, added under ``truncation``.
+    ``controls`` applies only to forcings without a Prabhakar image."""),
+)
+
+
+def _route(label, plan_of, refusal, doc):
+    """The solver of one row of ``_TABLE``: its plan through
+    :func:`_closed`, or ``DomainError(refusal)``."""
+    def solve(problem: KineticProblem, ts, controls=None, truncation=None):
+        plan = plan_of(problem)
+        if plan is None:
+            raise DomainError(refusal)
+        return _closed(problem, ts, plan, controls, truncation)
+
+    solve.__name__ = solve.__qualname__ = "solve_" + label.replace("-", "_")
+    solve.__doc__ = doc
+    return solve
+
+
+# Every route by its label, in select_solver's order of preference.
+ROUTES = {row[0]: _route(*row) for row in _TABLE}
+solve_ml_closed = ROUTES["ml-closed"]
+solve_power_closed = ROUTES["power-closed"]
+solve_binomial = ROUTES["binomial"]
+solve_geometric = ROUTES["geometric"]
+solve_arithmetic = ROUTES["arithmetic"]
+solve_multiterm = ROUTES["multiterm"]
+
+
+def select_solver(problem: KineticProblem):
+    """``(label, solver)`` of the first route in :data:`ROUTES` that fits:
+    fully closed forms, then the single-term, binomial, geometric and
+    arithmetic routes, then the general expansion.  Every solver takes
+    ``(problem, ts, controls=None, truncation=None)``."""
+    for label, plan_of, _, _ in _TABLE:
+        if plan_of(problem) is not None:
+            return label, ROUTES[label]
+
+
 def solve_single_term(problem: KineticProblem, ts, via="closed",
                       controls=None):
     """Solver for a single relaxation term of order ``nu``.
 
-    ``via="closed"`` is the binomial plan with ``n = 1``, a pure
-    Mittag-Leffler expression for unit, power-law and matched
-    Mittag-Leffler forcings.  ``via="derivative"`` instead differentiates
-    the convolution of the forcing with ``E_nu(-a (t-u)^nu)``; the two
-    routes rest on different identities and serve as mutual checks.
+    ``via="closed"`` is the ``single`` route of :data:`ROUTES`: the
+    operator inverse ``(1 + a s^-nu)^-1`` for a rate ``a`` of either sign
+    (the binomial plan would need ``a > 0``), a pure Mittag-Leffler
+    expression for unit, power-law and matched Mittag-Leffler forcings.
+    ``via="derivative"`` instead differentiates the convolution of the
+    forcing with ``E_nu(-a (t-u)^nu)``; the two routes rest on different
+    identities and serve as mutual checks.
     The derivative route is accurate in absolute terms only: its
     difference stencil sees quadrature noise of fixed absolute size, so
     its relative error grows as the solution decays.  For ``nu = 1``,
@@ -481,8 +550,7 @@ def solve_single_term(problem: KineticProblem, ts, via="closed",
     if len(problem.nus) != 1:
         raise DomainError("this route needs exactly one term")
     if via == "closed":
-        return _closed(problem, ts, _Plan(problem.nus[0], problem.rates[0], 1),
-                       controls)
+        return ROUTES["single"](problem, ts, controls)
     if via == "derivative":
         controls = controls if controls is not None else ConvolutionControls()
         f = problem.forcing.value
@@ -500,54 +568,6 @@ def solve_single_term(problem: KineticProblem, ts, via="closed",
             deriv(t) if t > 0.0 else float(f(np.asarray(t, float)))
             for t in _times(ts)])
     raise DomainError("via must be 'closed' or 'derivative'")
-
-
-def solve_binomial(problem: KineticProblem, ts, controls=None):
-    """Solver for binomially weighted rates ``C(n, r) c^(nu r)``.
-
-    The full operator is then ``(1 + c^nu I^nu)^n``, so the solution is a
-    single Prabhakar term of degree ``n + d``.
-    """
-    plan = _binomial_plan(problem)
-    if plan is None:
-        raise DomainError("rates do not follow the binomial pattern")
-    return _closed(problem, ts, plan, controls)
-
-
-def solve_geometric(problem: KineticProblem, ts, controls=None):
-    """Solver for geometric rates ``a^r`` on orders ``r nu``, ``n >= 2``.
-
-    The geometric sum telescopes, leaving two kernels of order
-    ``(n+1) nu`` with argument ``a^(n+1) t^((n+1) nu)``.
-    """
-    plan = _geometric_plan(problem)
-    if plan is None:
-        raise DomainError("rates do not follow the geometric pattern")
-    return _closed(problem, ts, plan, controls)
-
-
-def solve_ml_closed(problem: KineticProblem, ts):
-    """Fully closed solution for binomial rates with matched ML forcing.
-
-    The forcing resolvent and the operator resolvent merge, giving
-    ``N0 t^(gamma_-1) E^(delta+n)_{nu, gamma_}(-(c t)^nu)``.
-    """
-    plan = _binomial_plan(problem)
-    f = problem.forcing
-    if (plan is None or not isinstance(f, MLForcing)
-            or _kernel(f, plan.b, plan.k) is None):
-        raise DomainError("needs binomial rates and matched Mittag-Leffler "
-                          "forcing")
-    return _closed(problem, ts, plan)
-
-
-def solve_power_closed(problem: KineticProblem, ts):
-    """Fully closed solution for binomial rates with power-law forcing:
-    ``N0 Gamma(rho) t^(rho-1) E^n_{nu, rho}(-(c t)^nu)``."""
-    plan = _binomial_plan(problem)
-    if plan is None or not isinstance(problem.forcing, PowerLaw):
-        raise DomainError("needs binomial rates and power-law forcing")
-    return _closed(problem, ts, plan)
 
 
 def binomial_problem(n0, n, nu, c, forcing):
@@ -580,41 +600,3 @@ def residual_grid(problem: KineticProblem, values, dt):
     for nu, a in zip(problem.nus, problem.rates):
         out = out + a * rl_integral_grid(values, dt, nu)
     return out
-
-
-def select_solver(problem: KineticProblem):
-    """Pick the most specific applicable route.
-
-    Returns ``(name, callable)`` where the callable maps ``(problem, ts)``
-    to solution values.  Preference order: fully closed forms, then the
-    single-term, binomial, geometric routes, then the general expansion.
-    Every route evaluates through the same Prabhakar-term engine.
-    """
-    binom = _binomial_plan(problem)
-    f = problem.forcing
-    if (binom is not None and isinstance(f, MLForcing)
-            and _kernel(f, binom.b, binom.k) is not None):
-        return "ml-closed", solve_ml_closed
-    if binom is not None and isinstance(f, PowerLaw):
-        return "power-closed", solve_power_closed
-    if len(problem.nus) == 1:
-        return "single", solve_single_term
-    if binom is not None:
-        return "binomial", solve_binomial
-    if _geometric_plan(problem) is not None:
-        return "geometric", solve_geometric
-    if _arithmetic_step(problem) is not None:
-        return "arithmetic", solve_arithmetic
-    return "multiterm", solve_multiterm
-
-
-# Every route by its label, in select_solver's order of preference.
-ROUTES = {
-    "ml-closed": solve_ml_closed,
-    "power-closed": solve_power_closed,
-    "single": solve_single_term,
-    "binomial": solve_binomial,
-    "geometric": solve_geometric,
-    "arithmetic": solve_arithmetic,
-    "multiterm": solve_multiterm,
-}

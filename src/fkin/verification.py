@@ -129,15 +129,6 @@ def canonical_problems():
     )
 
 
-def _closed_route(problem, ts, truncation=None):
-    """Evaluate the most specific closed route, threading the truncation
-    policy into the routes built on the resolvent expansion."""
-    name, solver = select_solver(problem)
-    if truncation is not None and name in ("arithmetic", "multiterm"):
-        return name, np.asarray(solver(problem, ts, truncation=truncation))
-    return name, np.asarray(solver(problem, ts))
-
-
 def _triangle_data(denominator_sign=1.0, truncation=None):
     """Closed / inversion / stepper comparison for the canonical panel.
 
@@ -149,7 +140,8 @@ def _triangle_data(denominator_sign=1.0, truncation=None):
     for name, problem in canonical_problems():
         row = {"name": name, "error": None}
         try:
-            route, closed = _closed_route(problem, ts, truncation)
+            route, solver = select_solver(problem)
+            closed = solver(problem, ts, truncation=truncation)
             row["route"] = route
 
             def image(s, _p=problem):
@@ -557,7 +549,8 @@ def verify_problem(problem, ts, dt=1.0 / 512.0):
         raise DomainError("verification times must be positive and finite")
     if not 0.0 < dt < math.inf:
         raise DomainError("dt must be positive and finite")
-    route, closed = _closed_route(problem, ts)
+    route, solver = select_solver(problem)
+    closed = solver(problem, ts)
     inverted = np.array([invert_laplace(lambda s: laplace_domain(problem, s),
                                         t) for t in ts])
     n_steps = int(math.ceil(float(np.max(ts)) / dt))

@@ -506,7 +506,8 @@ class TestSwitch:
             coeffs = diffusion._residue_coefficients(alpha, dim)
             for B in (1.0 - 1e-9, 1.0 + 1e-9):
                 x = 2.0 * math.sqrt(B)
-                series = diffusion._residue_sum(coeffs, x, 4.0)
+                series = diffusion._residue_sum(
+                    coeffs, x, diffusion._scale_parts(1.0, 1.0, alpha))
                 kanter = diffusion._kanter_solution(alpha, dim, 1.0, x, 1.0)
                 got = fundamental_solution(p, x, 1.0)
                 assert got == (series if B < 1.0 else kanter)
@@ -569,3 +570,67 @@ class TestArrayInput:
         with pytest.raises(DomainError):
             fundamental_solution(DiffusionProblem(0.5, 1.0, 3),
                                  np.array([1.0, 0.0]), 1.0)
+
+
+class TestExtremeScales:
+    """``4 D t^alpha``, ``x^2`` and Kanter's divisor may each leave the
+    double range while the value does not; the value is then that of the
+    60-digit sum or closed form, and a value past the double range raises
+    ``NonConvergence``."""
+
+    def test_scale_past_the_double_range(self):
+        # 4 D t^alpha = 4e310: at x = 1e160, B = 2.5e9 lies beyond the
+        # validated radius; at x = 1 the 3-D value is subnormal
+        for dim in (1, 3):
+            with pytest.raises(NonConvergence, match="validated radius"):
+                fundamental_solution(DiffusionProblem(0.5, 1e300, dim),
+                                     1e160, 1e20)
+        with mp.workdps(60):
+            scale = 4 * mp.mpf(1e300) * mp.mpf(1e20) ** mp.mpf(0.5)
+        ref = _mp_residue_solution(0.5, 3, 1.0, scale)
+        assert 0.0 < ref < 2.3e-308
+        got = fundamental_solution(DiffusionProblem(0.5, 1e300, 3), 1.0,
+                                   1e20)
+        assert abs(got - ref) <= 5e-324
+
+    def test_kanter_value_past_the_double_range(self):
+        # B = 25 with ell = 1e-105: the divisor 4 pi ell^3 r^2 is about
+        # 1e-312 and the value about 1e310
+        with pytest.raises(NonConvergence, match="double range"):
+            fundamental_solution(DiffusionProblem(0.05, 1e-210, 3), 1e-104,
+                                 1.0)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_heat_kernel_at_extreme_diffusivities(self, dim):
+        # at alpha = 1 Kanter's integral is the heat kernel
+        # (4 pi D t)^(-n/2) e^-B; a small divisor lifts a value whose
+        # e^-B part underflows back into the double range
+        for d in (1e-300, 1e-200, 1e-100, 0.01, 1e200):
+            for B in (1.5, 25.0, 1000.0):
+                x = math.sqrt(4.0 * B * d)
+                with mp.workdps(40):
+                    ref = ((4 * mp.pi * mp.mpf(d)) ** (-mp.mpf(dim) / 2)
+                           * mp.exp(-mp.mpf(x) ** 2 / (4 * mp.mpf(d))))
+                p = DiffusionProblem(1.0, d, dim)
+                if ref > 1.7e308:
+                    with pytest.raises(NonConvergence, match="double range"):
+                        fundamental_solution(p, x, 1.0)
+                    continue
+                got = fundamental_solution(p, x, 1.0)
+                assert rel(got, float(ref)) < 1e-12, (d, B)
+
+    def test_scaled_argument_keeps_its_double(self):
+        # where x^2, 4 D t^alpha and B are normal doubles, B from their
+        # exact parts is x*x/(4 D t^alpha) bit for bit
+        rng = np.random.default_rng(7)
+        for lx, ld, lt, alpha in zip(rng.uniform(-150, 150, 4000),
+                                     rng.uniform(-150, 150, 4000),
+                                     rng.uniform(-150, 150, 4000),
+                                     rng.uniform(1e-3, 1.0, 4000)):
+            x, d, t = 10.0 ** float(lx), 10.0 ** float(ld), 10.0 ** float(lt)
+            scale = 4.0 * d * t ** float(alpha)
+            if not (2.3e-308 < x * x < 1.7e308 and 2.3e-308 < scale
+                    and 2.3e-308 < x * x / scale < 1.7e308):
+                continue
+            parts = diffusion._scale_parts(d, t, float(alpha))
+            assert diffusion._scaled_square(x, parts) == x * x / scale

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 import scipy.special as sc
 
+import fkin
 from fkin.errors import DomainError, NonConvergence, ResourceError
-from fkin.kinetics import (KineticProblem, MLForcing, PowerLaw, Sampled,
-                           TruncationPolicy, Unit, _quadrature_expansion,
-                           _sum_levels, binomial_problem, geometric_problem,
+from fkin.kinetics import (ROUTES, KineticProblem, MLForcing, PowerLaw,
+                           Sampled, TruncationPolicy, Unit,
+                           _quadrature_expansion, _sum_levels,
+                           binomial_problem, geometric_problem,
                            laplace_domain, residual_grid, select_solver,
                            solve_arithmetic, solve_binomial, solve_geometric,
                            solve_ml_closed, solve_multiterm,
                            solve_multiterm_grid, solve_power_closed,
                            solve_single_term)
-from fkin.fracops import SampledFunction
+from fkin.fracops import ConvolutionControls, SampledFunction
 from fkin.oracles import StepperControls, forward_laplace, volterra_solve
 
 TS = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
@@ -366,3 +368,77 @@ def test_negative_times_rejected():
             solve_multiterm_grid(p, bad)
     with pytest.raises(DomainError):
         solve_single_term(p, np.array([1.0]), via="bogus")
+
+
+# one problem each route fits, and select_solver gives to it
+_FITTING = {
+    "ml-closed": binomial_problem(
+        1, 2, 0.5, 0.5, MLForcing(nu=0.5, gamma_=2.0, delta=1.5, c=0.5)),
+    "power-closed": binomial_problem(1, 2, 0.5, 0.5, PowerLaw(2.0)),
+    "single": KineticProblem(1, (0.5,), (-0.3,), Unit()),
+    "binomial": binomial_problem(1, 2, 0.5, 0.5, Unit()),
+    "geometric": geometric_problem(1, 2, 0.5, 0.5, Unit()),
+    "arithmetic": KineticProblem(2, (0.5, 1.0), (1.0, 0.3), Unit()),
+    "multiterm": KineticProblem(1, (0.5, 0.9, 1.6), (0.4, 0.2, 0.1), Unit()),
+}
+
+
+class TestRouteTable:
+    """Every route is one row of one table: one signature, one order of
+    preference, and the public names are its entries."""
+
+    @pytest.mark.parametrize("label", list(ROUTES))
+    def test_every_route_takes_controls_and_truncation(self, label):
+        problem = _FITTING[label]
+        assert select_solver(problem)[0] == label
+        solver = ROUTES[label]
+        got = solver(problem, TS, controls=ConvolutionControls(),
+                      truncation=TruncationPolicy())
+        assert got.tolist() == solver(problem, TS).tolist()
+
+    @pytest.mark.parametrize("label, make", [
+        ("binomial", binomial_problem), ("geometric", geometric_problem)])
+    def test_forced_route_obeys_truncation(self, label, make):
+        # a sampled forcing has no Prabhakar image, so the forced route
+        # takes the quadrature expansion, whose levels the policy bounds
+        ramp = Sampled(SampledFunction(np.linspace(0.0, 2.0, 9),
+                                       np.linspace(0.0, 2.0, 9)))
+        problem = make(1, 2, 0.5, 0.5, ramp)
+        with pytest.raises(NonConvergence):
+            ROUTES[label](problem, np.array([0.5]),
+                          truncation=TruncationPolicy(l_max=0))
+
+    def test_public_names_are_the_table(self):
+        for name in fkin.__all__:
+            assert getattr(fkin, name) is not None, name
+        public = {label: "solve_" + label.replace("-", "_")
+                  for label in ROUTES}
+        for label, name in public.items():
+            if label == "single":
+                # solve_single_term wraps this entry with its second route
+                assert name not in fkin.__all__
+                continue
+            assert name in fkin.__all__
+            assert getattr(fkin, name) is ROUTES[label]
+
+    @pytest.mark.parametrize("problem, first", [
+        (binomial_problem(1, 2, 0.5, 0.5, PowerLaw(1.5)), "power-closed"),
+        (binomial_problem(1, 1, 0.5, 0.5,
+                          MLForcing(nu=0.5, gamma_=2.0, delta=1.5, c=0.5)),
+         "ml-closed"),
+        (KineticProblem(1, (0.5,), (1.0,), Unit()), "single"),
+        (KineticProblem(1, (0.5,), (-0.3,), Unit()), "single"),
+        (geometric_problem(1, 3, 0.5, 0.5, Unit()), "geometric"),
+    ], ids=["power-binomial", "ml-one-term", "one-term", "negative-rate",
+            "geometric"])
+    def test_first_fitting_route_wins(self, problem, first):
+        def fits(label):
+            try:
+                ROUTES[label](problem, np.array([1.0]))
+            except DomainError:
+                return False
+            return True
+
+        fitting = [label for label in ROUTES if fits(label)]
+        assert len(fitting) > 1 and fitting[0] == first
+        assert select_solver(problem)[0] == first
