@@ -69,6 +69,8 @@ _MP_BUDGET = 20000
 _STOP_TOL = 1e-16
 # exp of anything below this rounds to zero in double
 _LOG_UNDERFLOW = -746.0
+# the smallest normal double
+_TINY = float(np.finfo(float).tiny)
 
 # past B = x^2/(4 D t^alpha) = 1, two diffusion lengths, the one- and
 # three-dimensional solutions come from Kanter's integral, not the series;
@@ -167,7 +169,7 @@ def _alt_series(alpha, A, drop):
         import mpmath as mp
 
         am = mp.mpf(alpha)
-        return [_Family(1, -mp.sqrt(A), (), (1,), 1 - drop * am, -am / 2)]
+        return _Family(1, -mp.sqrt(A), (), 1 - drop * am, -am / 2)
 
     return _sum_extended(build, None, _MP_BUDGET, {})
 
@@ -282,6 +284,25 @@ def _scaled_square(x, scale):
         return math.ldexp(mx * mx / ms, 2 * ex - es)
     except OverflowError:
         return math.inf
+
+
+def _origin_value(alpha, d, t, scale):
+    """The one-dimensional value at the origin,
+    ``rgamma(1 - alpha/2) / (2 sqrt(D) t^(alpha/2))``.  Where that divisor
+    is not a finite normal double, or the quotient is subnormal, the
+    divisor is ``sqrt(m) 2^(e/2)`` from the parts ``(m, e)`` of ``scale =
+    4 D t^alpha`` (:func:`_scale_parts`) and the quotient is rounded into
+    the double range once; a value past it raises ``NonConvergence``."""
+    g = gamma_recip(1.0 - alpha / 2.0)
+    den = 2.0 * math.sqrt(d) * t ** (alpha / 2.0)
+    if _TINY <= den < math.inf and g / den >= _TINY:
+        return g / den
+    ms, es = scale
+    try:
+        return math.ldexp(g / math.sqrt(ms), -es // 2)
+    except OverflowError:
+        raise NonConvergence(f"density at the origin at D={d:g}, t={t:g} "
+                             "is beyond the double range") from None
 
 
 def _residue_sum(coeffs, x, scale):
@@ -490,15 +511,17 @@ def fundamental_solution(p: DiffusionProblem, x, t):
     value past the double range, raises ``NonConvergence``; ``B`` and
     ``4 D t^alpha`` need not lie in the double range.  In one
     dimension the origin, and a radius with ``B^(1/2) <= 1e-20``, take
-    the origin value ``rgamma(1 - alpha/2) / (2 sqrt(D) t^(alpha/2))``,
-    which the series would give to rounding.  Past ``B = 1`` they evaluate
-    Kanter's integral directly, with no series attempt; a quadrature whose
-    two rules disagree raises ``NonConvergence``, as do ``B`` beyond
-    ``_MAX_A/4`` and a value past the double range.  The explicit one- and
-    three-dimensional sums serve as independent cross-checks in the test
-    suite.  Dimension 2 has no convergent series of this form and raises
-    ``NotSupported``; :func:`asymptotic_n2` gives its leading logarithmic
-    term near the origin.
+    the origin value ``rgamma(1 - alpha/2) / (2 sqrt(D) t^(alpha/2))``
+    (:func:`_origin_value`), which the series would give to rounding.
+    Past ``B = 1`` they evaluate Kanter's integral directly, with no
+    series attempt; a quadrature whose two rules disagree raises
+    ``NonConvergence``, as do ``B`` beyond ``_MAX_A/4`` (``B`` that
+    overflows names ``x``, ``D`` and ``t``) and a value past the double
+    range.  The explicit one- and three-dimensional sums serve as
+    independent cross-checks in the test suite.  Dimension 2 has no
+    convergent series of this form and raises ``NotSupported``;
+    :func:`asymptotic_n2` gives its leading logarithmic term near the
+    origin.
     """
     if not 0.0 < t < math.inf:
         raise DomainError("t must be positive and finite")
@@ -519,9 +542,12 @@ def fundamental_solution(p: DiffusionProblem, x, t):
         if p.dim == 1 and B <= 1e-40:
             # the origin, or a radius whose terms past the first are
             # B^(1/2) <= 1e-20 of it and less
-            out[i] = gamma_recip(1.0 - p.alpha / 2.0) \
-                / (2.0 * math.sqrt(d) * t ** (p.alpha / 2.0))
+            out[i] = _origin_value(p.alpha, d, t, scale)
             continue
+        if B == math.inf:
+            raise NonConvergence(
+                f"B = x^2/(4 D t^alpha) overflows at x={xi:g}, D={d:g}, "
+                f"t={t:g}: beyond the validated radius {_MAX_A:g}")
         if B > _MAX_A / 4.0:
             raise NonConvergence(f"scaled argument {4.0 * B:g} beyond the "
                                  f"validated radius {_MAX_A:g}")

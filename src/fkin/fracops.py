@@ -284,7 +284,7 @@ def _folded_lr(lo, hi, power, mod, series):
     if mod is None:
         wl, wr = _lr_weights(lo, hi, power)
         return wl[0], wr[0]
-    coeffs, _ = _ml_table(mod.beta, mod.gamma_, mod.delta, series.max_terms)
+    coeffs = _ml_table(mod.beta, mod.gamma_, mod.delta, series.max_terms)
     wl = np.zeros((1, lo.size))
     wr = np.zeros((1, lo.size))
     small = 0

@@ -202,19 +202,15 @@ class TruncationPolicy:
                 raise DomainError(f"{name} must be a nonnegative integer")
 
 
-def laplace_domain(problem: KineticProblem, s, _denominator_sign=1.0):
-    """The Laplace image ``N~(s)`` of the solution, complex-capable.
-
-    ``_denominator_sign`` exists only so the verification suite can
-    inject a sign fault and prove the oracle comparison catches it.
-    """
+def laplace_domain(problem: KineticProblem, s):
+    """The Laplace image ``N~(s)`` of the solution, complex-capable."""
     s = complex(s)
     if not cmath.isfinite(s):
         raise DomainError("s must be finite")
     if s == 0:
         raise DomainError("the image has a singularity at s = 0")
-    denom = 1.0 + _denominator_sign * sum(
-        a * s ** (-v) for a, v in zip(problem.rates, problem.nus))
+    denom = 1.0 + sum(a * s ** (-v)
+                      for a, v in zip(problem.rates, problem.nus))
     return problem.n0 * complex(problem.forcing.transform(s)) / denom
 
 

@@ -5,27 +5,31 @@ Mittag-Leffler values come from the defining power series, by two
 engines, and from one contour.  ``_ml_values`` is the one double-precision
 Mittag-Leffler pass: compensated (Kahan) summation over an array of
 arguments, each entry stopped by its own rule and checked by a
-rounding-noise guard against its summed term magnitudes.  Entries that
-fail the guard with ``beta <= 1`` and ``z < 0`` go first to
-``_ml_contour``, which inverts the Prabhakar Laplace image at ``t = 1`` on
-two parabolic contours in double precision and certifies a value only
-when the two agree and it passes the same rounding guard.  Every other
-rescued entry goes to ``_sum_extended``, the one extended-precision
-engine, which also rescues the explicit series of :mod:`fkin.diffusion`:
-it sums families of terms ``c x^k C_k``, where the coefficients ``C_k =
-prod(a)_k / prod(b)_k rgamma(g0 + s k)`` do not depend on ``x``, sizes its
-first pass from a double scan of the log term magnitudes, and certifies a
-pass only when its working noise is below 1e-19 of the total (with an
-absolute floor below the double range), escalating the digits otherwise.
-The rescued entries of one ``_ml_values`` call differ only in ``x``, so
-they share one table of ``C_k`` per working precision, built as the terms
-ask for it and dropped when the call returns; their digits are rounded up
-to multiples of 10 so nearby entries meet on one precision, and each entry
-still picks its digits alone, so its value does not depend on its batch.
-A sum alone (an explicit diffusion series) runs the same way under a
-table of its own.  ``mpmath`` is imported by this engine alone, on its
-first sum, so a run that never rescues an entry in extended precision
-never loads it.
+rounding-noise guard against its summed term magnitudes.  Entries past
+``SERIES_RADIUS`` skip that pass.  Every entry the pass does not certify
+goes to ``_ml_rescue``, the one router of the rescue: entries with
+``beta <= 1`` and ``z < 0`` go first to ``_ml_contour``, which inverts the
+Prabhakar Laplace image at ``t = 1`` on two parabolic contours in double
+precision and certifies a value only when the two agree and it passes the
+same rounding guard; every other entry inside the radius goes to
+``_sum_extended``, the one extended-precision engine, and an entry left
+past the radius raises ``NonConvergence``.
+
+``_sum_extended`` also rescues the explicit series of
+:mod:`fkin.diffusion`.  It sums one family of terms ``c x^k C_k``, where
+the coefficients ``C_k = prod(a)_k / k! rgamma(g0 + s k)`` do not depend on
+``x``, sizes its first pass from a double scan of the log term
+magnitudes, and certifies a pass only when its working noise is below
+1e-19 of the total (with an absolute floor below the double range),
+escalating the digits otherwise.  The rescued entries of one
+``_ml_values`` call differ only in ``x``, so they share one table of
+``C_k`` per working precision, built as the terms ask for it and dropped
+when the call returns; their digits are rounded up to multiples of 10 so
+nearby entries meet on one precision, and each entry still picks its
+digits alone, so its value does not depend on its batch.  A sum alone (an
+explicit diffusion series) runs the same way under a table of its own.
+``mpmath`` is imported by this engine alone, on its first sum, so a run
+that never rescues an entry in extended precision never loads it.
 No asymptotic expansions are used.  Past the series radius only ``beta <=
 1``, ``z < 0`` is served, by the contour alone; every other argument there,
 and a contour value that does not certify, raises ``NonConvergence``
@@ -150,15 +154,12 @@ def gamma_recip(x):
     x = float(x)
     if not math.isfinite(x):
         raise DomainError("gamma_recip requires a finite argument")
-    if x < 0.5:
-        nearest = round(x)
-        if nearest <= 0 and abs(x - nearest) < _POLE_TOL:
-            return 0.0
-    return float(_sc.rgamma(x))
+    return float(_gamma_recip_array(x))
 
 
 def _gamma_recip_array(x):
-    """Vector form of :func:`gamma_recip` with the same pole snapping."""
+    """``1/Gamma(x)`` elementwise, exactly zero within ``_POLE_TOL`` of a
+    pole; :func:`gamma_recip` is its checked scalar form."""
     x = np.asarray(x, dtype=float)
     out = _sc.rgamma(x)
     nearest = np.round(x)
@@ -201,14 +202,12 @@ def _log_abs_rgamma(g):
 
 class _Family(NamedTuple):
     """Terms ``c x^k C_k`` of an extended-precision sum, with the
-    coefficients ``C_k = prod(a)_k / prod(b)_k rgamma(g0 + s k)``
-    (``a`` in ``nums``, ``b`` in ``dens``), which do not depend on ``c``
-    or ``x``."""
+    coefficients ``C_k = prod(a)_k / k! rgamma(g0 + s k)`` (``a`` in
+    ``nums``), which do not depend on ``c`` or ``x``."""
 
     c: object
     x: object
     nums: tuple
-    dens: tuple
     g0: object
     s: object
 
@@ -216,7 +215,7 @@ class _Family(NamedTuple):
 class _Coefficients:
     """The ``C_k`` of one family at one working precision, extended as
     terms ask for them: ``C_k = Q_k rgamma(g0 + s k)``, ``Q_0 = 1`` and
-    ``Q_(k+1) = Q_k prod(a + k) / prod(b + k)``."""
+    ``Q_(k+1) = Q_k prod(a + k) / (1 + k)``."""
 
     def __init__(self, f):
         import mpmath as mp
@@ -231,23 +230,22 @@ class _Coefficients:
         self.values.append(self.q * self._mp.rgamma(f.g0 + f.s * k))
         for a in f.nums:
             self.q *= a + k
-        for b in f.dens:
-            self.q /= b + k
+        self.q /= 1 + k
 
 
-def _sum_extended(build, tol, budget, table, positive=False):
-    """Sum of the families ``build()`` returns, in extended precision.
+def _sum_extended(build, tol, budget, table):
+    """Sum of the family ``build()`` returns, in extended precision.
 
     ``build`` forms the family constants at the precision it is called
     under, so no constant carries the rounding of a double into the
-    cancellation.  Term ``k`` of a family is ``(c x^k) C_k``: the power
-    steps by ``x``, and the coefficients ``C_k``, the part that does not
-    depend on ``x``, come from a table keyed by the working digits and
-    ``(nums, dens, g0, s)``, extended as ``k`` grows.  A family stops once
-    ``_SMALL_TERMS`` successive terms fall below ``tol`` times its running
-    sum, or below the working noise ``peak 10^(8-dps)``; ``tol=None`` is
-    the working-precision tail cut ``10^(15-dps)``.  A family still
-    summing after ``budget`` terms raises ``NonConvergence``.
+    cancellation.  Term ``k`` is ``(c x^k) C_k``: the power steps by
+    ``x``, and the coefficients ``C_k``, the part that does not depend on
+    ``x``, come from a table keyed by the working digits and ``(nums, g0,
+    s)``, extended as ``k`` grows.  The sum stops once ``_SMALL_TERMS``
+    successive terms fall below ``tol`` times its running value, or below
+    the working noise ``peak 10^(8-dps)``; ``tol=None`` is the
+    working-precision tail cut ``10^(15-dps)``.  A sum still running after
+    ``budget`` terms raises ``NonConvergence``.
 
     A double scan of the log term magnitudes sizes the first pass at 30
     digits past the peak term.  A pass is certified when its working
@@ -255,8 +253,9 @@ def _sum_extended(build, tol, budget, table, positive=False):
     absolute floor ``_MP_FLOOR`` below the double range; otherwise the
     next pass carries 30 digits past ``peak / |total|`` (past ``peak /
     _MP_FLOOR`` while the total is noise), and at least twice the digits
-    of the last.  With ``positive`` every term is positive, and a peak
-    term past the double range gives ``inf`` without a pass.
+    of the last.  When ``c``, ``x``, ``g0``, ``s`` and every ``a`` are
+    positive, so is every term, and a peak term past the double range
+    gives ``inf`` without a pass.
 
     ``table`` is the coefficient table (a dict) the caller hands to every
     sum of one batch, or a fresh one for a sum alone, so sums that differ
@@ -267,20 +266,18 @@ def _sum_extended(build, tol, budget, table, positive=False):
     """
     import mpmath as mp
 
+    f = build()
     ks = np.arange(min(budget, _SCAN_TERMS), dtype=float)
-    log_peak = -math.inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        for f in build():
-            logs = np.log(abs(float(f.c))) + ks * np.log(abs(float(f.x))) \
-                + _log_abs_rgamma(float(f.g0) + float(f.s) * ks)
-            for sign, bases in ((1.0, f.nums), (-1.0, f.dens)):
-                for a in bases:
-                    logs[1:] += sign * np.cumsum(
-                        np.log(np.abs(float(a) + ks[:-1])))
-            finite = logs[np.isfinite(logs)]
-            if finite.size:
-                log_peak = max(log_peak, float(np.max(finite)))
-    if positive and log_peak > _LOG_MAX:
+        logs = np.log(abs(float(f.c))) + ks * np.log(abs(float(f.x))) \
+            + _log_abs_rgamma(float(f.g0) + float(f.s) * ks)
+        for a in f.nums:
+            logs[1:] += np.cumsum(np.log(np.abs(float(a) + ks[:-1])))
+        logs[1:] -= np.cumsum(np.log(1.0 + ks[:-1]))
+    finite = logs[np.isfinite(logs)]
+    log_peak = float(np.max(finite)) if finite.size else -math.inf
+    if log_peak > _LOG_MAX and all(
+            v > 0 for v in (f.c, f.x, f.g0, f.s) + f.nums):
         return math.inf
 
     def digits(d):
@@ -292,36 +289,34 @@ def _sum_extended(build, tol, budget, table, positive=False):
         with mp.workdps(dps):
             cut = mp.mpf(10) ** (8 - dps)
             stop = mp.mpf(10) ** (15 - dps) if tol is None else mp.mpf(tol)
+            f = build()
+            key = (dps, f.nums, f.g0, f.s)
+            coeffs = table.get(key)
+            if coeffs is None:
+                coeffs = table[key] = _Coefficients(f)
+            cs = coeffs.values
             total = peak = mp.mpf(0)
-            for f in build():
-                key = (dps, f.nums, f.dens, f.g0, f.s)
-                coeffs = table.get(key)
-                if coeffs is None:
-                    coeffs = table[key] = _Coefficients(f)
-                cs = coeffs.values
-                part = mp.mpf(0)
-                p = f.c
-                small = 0
-                for k in range(budget):
-                    if k == len(cs):
-                        coeffs.extend()
-                    term = p * cs[k]
-                    part += term
-                    at = abs(term)
-                    if at > peak:
-                        peak = at
-                    if at <= stop * max(abs(part), peak * cut):
-                        small += 1
-                        if small >= _SMALL_TERMS:
-                            break
-                    else:
-                        small = 0
-                    p *= f.x
+            p = f.c
+            small = 0
+            for k in range(budget):
+                if k == len(cs):
+                    coeffs.extend()
+                term = p * cs[k]
+                total += term
+                at = abs(term)
+                if at > peak:
+                    peak = at
+                if at <= stop * max(abs(total), peak * cut):
+                    small += 1
+                    if small >= _SMALL_TERMS:
+                        break
                 else:
-                    raise NonConvergence(
-                        "series did not satisfy its stopping rule within "
-                        f"{budget} terms in extended precision")
-                total += part
+                    small = 0
+                p *= f.x
+            else:
+                raise NonConvergence(
+                    "series did not satisfy its stopping rule within "
+                    f"{budget} terms in extended precision")
             noise = peak * mp.mpf(10) ** -dps
             if noise <= _MP_CERT * max(abs(total), floor):
                 return float(total)
@@ -335,13 +330,13 @@ def _sum_extended(build, tol, budget, table, positive=False):
 
 
 def _ml_table(beta, gamma_, delta, n):
-    """``(coeffs, cut)``: the series coefficients
-    ``(delta)_tau rgamma(beta tau + gamma_) / tau!`` for ``tau < n``, cut
-    before the first one double precision cannot hold (a Pochhammer
-    factor past the double range or a reciprocal gamma underflowed to
-    zero); ``cut`` says whether that happened.  ``(delta)_tau / tau!`` is
-    the cumulative product of the exact ratios ``(delta+tau)/(tau+1)``,
-    so small-integer cases stay exact to rounding."""
+    """The series coefficients ``(delta)_tau rgamma(beta tau + gamma_) /
+    tau!`` for ``tau < n``, cut before the first one double precision
+    cannot hold (a Pochhammer factor past the double range or a reciprocal
+    gamma underflowed to zero), so fewer than ``n`` when that happens.
+    ``(delta)_tau / tau!`` is the cumulative product of the exact ratios
+    ``(delta+tau)/(tau+1)``, so small-integer cases stay exact to
+    rounding."""
     taus = np.arange(n, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         poch = np.concatenate(
@@ -350,8 +345,8 @@ def _ml_table(beta, gamma_, delta, n):
         coeffs = poch * recips
     bad = ~np.isfinite(coeffs) | ((recips == 0.0) & (poch != 0.0))
     if np.any(bad):
-        return coeffs[:int(np.argmax(bad))], True
-    return coeffs, False
+        return coeffs[:int(np.argmax(bad))]
+    return coeffs
 
 
 def ml_prabhakar(p: MLParams, controls: SeriesControls | None = None) -> float:
@@ -464,31 +459,43 @@ def _ml_contour(beta, gamma_, delta, zs):
 
 
 def _ml_rescue(beta, gamma_, delta, zs, ctrl):
-    """Values of the entries the double pass gives up on: with ``beta <=
-    1`` those with ``z < 0`` that :func:`_ml_contour` certifies, and every
-    other entry summed by ``_sum_extended`` under one coefficient table
-    for this call only."""
+    """Values of the entries the double pass does not certify, the one
+    router of the rescue.  With ``beta <= 1`` the entries with ``z < 0``
+    go to :func:`_ml_contour`, all in one call, and keep the values it
+    certifies.  Past ``SERIES_RADIUS`` that is the only engine: any other
+    entry there raises ``NonConvergence`` before the contour runs, and a
+    contour value there that does not certify raises after it.  Every
+    entry left inside the radius is summed by ``_sum_extended``, under one
+    coefficient table for this call only."""
     zs = np.asarray(zs, dtype=float)
+    far = np.abs(zs) > SERIES_RADIUS
+    contour = (zs < 0.0) & (beta <= 1.0)
+    unserved = far & ~contour
+    if np.any(unserved):
+        raise NonConvergence(
+            f"|z| = {np.max(np.abs(zs[unserved])):g} lies outside the "
+            f"supported series radius {SERIES_RADIUS:g}")
     value = np.empty_like(zs)
     pending = np.ones(zs.shape, dtype=bool)
-    if beta <= 1.0:
-        neg = np.flatnonzero(zs < 0.0)
-        if neg.size:
-            found, certified = _ml_contour(beta, gamma_, delta, zs[neg])
-            value[neg[certified]] = found[certified]
-            pending[neg[certified]] = False
+    neg = np.flatnonzero(contour)
+    if neg.size:
+        found, certified = _ml_contour(beta, gamma_, delta, zs[neg])
+        value[neg] = found
+        pending[neg] = ~certified
+    if np.any(pending & far):
+        raise NonConvergence(
+            f"z = {zs[pending & far][0]:g} lies outside the series radius "
+            f"{SERIES_RADIUS:g} and its contour value does not certify")
     table = {}
     for i in np.flatnonzero(pending):
-        z = float(zs[i])
 
-        def build(z=z):
+        def build(z=float(zs[i])):
             import mpmath as mp
 
-            return [_Family(1, mp.mpf(z), (mp.mpf(delta),), (1,),
-                            mp.mpf(gamma_), mp.mpf(beta))]
+            return _Family(1, mp.mpf(z), (mp.mpf(delta),), mp.mpf(gamma_),
+                           mp.mpf(beta))
 
-        value[i] = _sum_extended(build, _SERIES_TOL, ctrl.max_terms, table,
-                                 positive=z > 0.0 and delta > 0.0)
+        value[i] = _sum_extended(build, _SERIES_TOL, ctrl.max_terms, table)
     return value
 
 
@@ -508,8 +515,7 @@ def _ml_values(beta, gamma_, delta, zs, ctrl=None):
     it is still summing at a coefficient double precision cannot hold.
     An entry whose rule has not fired within ``ctrl.max_terms`` terms
     raises ``NonConvergence``.  Entries past ``SERIES_RADIUS`` skip the
-    pass: with ``beta <= 1`` and ``z < 0`` they take the contour value,
-    and raise ``NonConvergence`` if it does not certify; any other raises.
+    pass and are rescued, where only the contour serves them.
 
     Terms are taken in blocks of ``_ML_BLOCK`` as arrays of terms by live
     entries: powers and masses come from ``cumprod`` and ``cumsum``, which
@@ -523,20 +529,8 @@ def _ml_values(beta, gamma_, delta, zs, ctrl=None):
     zs = zs.ravel()
     value = np.zeros_like(zs)
     mass = np.zeros_like(zs)
+    # entries past the radius skip the pass for the rescue
     far = np.abs(zs) > SERIES_RADIUS
-    if np.any(far):
-        unserved = far & ~((zs < 0.0) & (beta <= 1.0))
-        if np.any(unserved):
-            raise NonConvergence(
-                f"|z| = {np.max(np.abs(zs[unserved])):g} lies outside the "
-                f"supported series radius {SERIES_RADIUS:g}")
-        found, certified = _ml_contour(beta, gamma_, delta, zs[far])
-        if not np.all(certified):
-            raise NonConvergence(
-                f"z = {zs[far][~certified][0]:g} lies outside the series "
-                f"radius {SERIES_RADIUS:g} and its contour value does not "
-                "certify")
-        value[far] = found
     # the live entries: their positions, arguments, Kahan sums and
     # compensations, absolute masses, next powers of z and runs of small
     # terms
@@ -554,7 +548,7 @@ def _ml_values(beta, gamma_, delta, zs, ctrl=None):
             if end > size:
                 # one coefficient past the table, for the next-term check
                 size = min(max(4 * size, 64), ctrl.max_terms)
-                coeffs, _ = _ml_table(beta, gamma_, delta, size + 1)
+                coeffs = _ml_table(beta, gamma_, delta, size + 1)
             stop = min(end, len(coeffs))
             cut = stop < end
             rows = stop - n
@@ -593,9 +587,8 @@ def _ml_values(beta, gamma_, delta, zs, ctrl=None):
             # live sums that all left double range are rescued
             if pos.size and not np.any(np.isfinite(total)):
                 break
-    rescue = (~np.isfinite(value)
-              | (_GUARD_FACTOR * _EPS * mass > _GUARD_REL * np.abs(value))) \
-        & ~far
+    rescue = far | ~np.isfinite(value) \
+        | (_GUARD_FACTOR * _EPS * mass > _GUARD_REL * np.abs(value))
     if pos.size:
         if not cut and np.any(np.isfinite(total)):
             raise NonConvergence(

@@ -11,7 +11,7 @@ the library is supposed to produce.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -144,9 +144,12 @@ def _triangle_data(denominator_sign=1.0, truncation=None):
             closed = solver(problem, ts, truncation=truncation)
             row["route"] = route
 
-            def image(s, _p=problem):
-                return laplace_domain(_p, s,
-                                      _denominator_sign=denominator_sign)
+            # the fault, denominator_sign = -1, negates every rate
+            image_problem = replace(problem, rates=tuple(
+                denominator_sign * a for a in problem.rates))
+
+            def image(s, _p=image_problem):
+                return laplace_domain(_p, s)
 
             inverted = np.array([invert_laplace(image, t) for t in ts])
             row["inversion_rel"] = float(np.max(_rel(inverted, closed)))

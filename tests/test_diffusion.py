@@ -634,3 +634,28 @@ class TestExtremeScales:
                 continue
             parts = diffusion._scale_parts(d, t, float(alpha))
             assert diffusion._scaled_square(x, parts) == x * x / scale
+
+    def test_origin_value_outside_the_normal_range(self):
+        # the 1-D origin value rgamma(1/2) / (2 sqrt(D t)) at alpha = 1
+        # where 2 sqrt(D t) overflows, where the quotient is subnormal and
+        # where the divisor is subnormal, against 30 digits
+        for d, t in ((1.7e308, 1.7e308), (1e307, 1e308), (1e-310, 1e-306)):
+            with mp.workdps(30):
+                ref = mp.rgamma(mp.mpf(0.5)) / (
+                    2 * mp.sqrt(mp.mpf(d)) * mp.sqrt(mp.mpf(t)))
+            got = fundamental_solution(DiffusionProblem(1.0, d, 1), 0.0, t)
+            assert abs(got - ref) <= 1e-14 * ref, (d, t)
+        got = fundamental_solution(DiffusionProblem(1.0, 1.7e308, 1), 0.0,
+                                   1.7e308)
+        assert abs(got / 1.6594e-309 - 1.0) < 1e-4
+        # the value at D = 1e-320, t = 1e-300 is about 2.8e309
+        with pytest.raises(NonConvergence, match="double range"):
+            fundamental_solution(DiffusionProblem(1.0, 1e-320, 1), 0.0,
+                                 1e-300)
+
+    def test_overflowing_scaled_argument_names_the_point(self):
+        # B = 1e600 / 4e-300 overflows the double range
+        with pytest.raises(NonConvergence,
+                           match=r"B = x\^2/\(4 D t\^alpha\) overflows at "
+                                 r"x=1e\+300, D=1e-300, t=1"):
+            fundamental_solution(DiffusionProblem(0.5, 1e-300, 1), 1e300, 1.0)

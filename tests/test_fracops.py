@@ -231,7 +231,7 @@ def _folded_lr_by_term(lo, hi, power, mod, series):
     # the fold one modulator term at a time; also returns the term count
     if mod is None:
         return _lr_weights_scalar(lo, hi, power) + (None,)
-    coeffs, _ = _ml_table(mod.beta, mod.gamma_, mod.delta, series.max_terms)
+    coeffs = _ml_table(mod.beta, mod.gamma_, mod.delta, series.max_terms)
     wl = np.zeros_like(lo)
     wr = np.zeros_like(lo)
     small = 0

@@ -175,7 +175,7 @@ def _ml_values_by_term(beta, gamma_, delta, zs, ctrl):
     value = np.zeros_like(zs)
     mass = np.zeros_like(zs)
     fired = np.zeros(zs.shape, dtype=bool)
-    coeffs, _ = _ml_table(beta, gamma_, delta, ctrl.max_terms + 1)
+    coeffs = _ml_table(beta, gamma_, delta, ctrl.max_terms + 1)
     n = min(ctrl.max_terms, len(coeffs))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
@@ -320,8 +320,8 @@ def test_rescued_half_order_matches_erfcx(monkeypatch):
     for z in zs:
 
         def build(z=z):
-            return [_Family(1, mp.mpf(z), (mp.mpf(1),), (1,), mp.mpf(1),
-                            mp.mpf(0.5))]
+            return _Family(1, mp.mpf(z), (mp.mpf(1),), mp.mpf(1),
+                           mp.mpf(0.5))
 
         v = _sum_extended(build, _SERIES_TOL, SeriesControls().max_terms,
                           table)
@@ -406,8 +406,8 @@ def test_rejected_entry_keeps_the_extended_value(monkeypatch):
     assert len(sums) == 1
 
     def build():
-        return [_Family(1, mp.mpf(z), (mp.mpf(1),), (1,), mp.mpf(1),
-                        mp.mpf(1))]
+        return _Family(1, mp.mpf(z), (mp.mpf(1),), mp.mpf(1),
+                       mp.mpf(1))
 
     ref = _sum_extended(build, _SERIES_TOL, SeriesControls().max_terms, {})
     assert got.tobytes() == np.float64(ref).tobytes()
@@ -431,6 +431,46 @@ def test_past_the_radius_by_contour():
         _ml_values(0.7, 1.2, 1.5, [-60.0, 60.0])
     with pytest.raises(NonConvergence, match="does not certify"):
         ml_one(1.0, -60.0)
+
+
+def test_one_contour_call_serves_far_and_near_entries(monkeypatch):
+    # a far entry and a near one that fails the double pass's guard, both
+    # beta <= 1, z < 0: the rescue sends them to the contour together
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _ml_contour(*args)
+
+    monkeypatch.setattr(specfun, "_ml_contour", counted)
+    zs = np.array([-60.0, -3.0])
+    got = _ml_values(0.5, 1.0, 1.0, zs)
+    assert len(calls) == 1 and list(calls[0][3]) == list(zs)
+    for z, v in zip(zs, got):
+        assert _erfcx_rel(v, z) < 1e-15, z
+
+
+def test_uncertified_far_entry_raises_before_extended_sums(monkeypatch):
+    # e^-60 does not certify on the contour, so the batch raises before
+    # its near entry is summed in extended precision; alone, that entry
+    # is summed as before
+    sums = _rescued(monkeypatch)
+    with pytest.raises(NonConvergence, match="does not certify"):
+        _ml_values(1.0, 1.0, 1.0, [-60.0, -7.0])
+    assert not sums
+    got = _ml_values(1.0, 1.0, 1.0, [-7.0])[0]
+    assert len(sums) == 1
+    assert rel(got, math.exp(-7.0)) < 1e-15
+
+
+def test_positive_series_past_the_double_range(monkeypatch):
+    # E_(1/2)(49) = erfcx(-49) is about e^2401: every term is positive,
+    # so the scan alone gives inf, with no extended-precision pass
+    passes = _count_calls(monkeypatch, "workdps")
+    sums = _rescued(monkeypatch)
+    got = _ml_values(0.5, 1.0, 1.0, [49.0])
+    assert got[0] == math.inf
+    assert len(sums) == 1 and not passes
 
 
 def test_reduction_chain():
