@@ -9,10 +9,17 @@ one rule for both meshes: ``_folded_lr`` folds the modulator series into
 the cell weights a block of terms at a time, each block one array of
 weights by exponent and cell, and raises ``NonConvergence`` when its
 stopping rule does not fire within the series budget or the coefficient
-table.  Uniform-grid variants reduce to discrete convolutions and are
-evaluated with FFTs.  Nothing here guards against cancellation: a
-convolution whose weights are large against its value keeps only the
-digits the difference leaves.
+table.  On cells small against their distance from the singularity the
+weights are binomial series in ``h/a``.  Each exponent takes the term
+count its own tail bound certifies at the largest ratio of the call, and
+both meshes raise ``NonConvergence`` on a weight they use whose exponent
+no count within the budget certifies.  Its sums are one ``einsum``
+contraction of its coefficients with the powers of the ratios, so a
+row's bytes depend neither on the exponents that share its block nor on
+the BLAS thread count.  Uniform-grid variants reduce to discrete
+convolutions and are evaluated with FFTs.  Nothing here guards against
+cancellation: a convolution whose weights are large against its value
+keeps only the digits the difference leaves.
 """
 
 from __future__ import annotations
@@ -40,13 +47,19 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-# Terms of the binomial expansion of the cell weights, at most.
-_BINOMIAL_TERMS = 24
-# Modulator terms folded per _lr_weights call.  Larger blocks overshoot
-# the stopping term where the fold is compute-bound.
+# Terms of the binomial expansion of the cell weights, at most: enough
+# for exponents up to about 600 at the largest small-cell ratio, 1/49.
+_BINOMIAL_TERMS = 64
+_TERM_INDEX = np.arange(_BINOMIAL_TERMS, dtype=float)
+# Modulator terms folded per _lr_weights call; no byte depends on it.
+# Larger blocks overshoot the stopping term where the fold is
+# compute-bound, smaller ones pay the per-call cost more often.
 _FOLD_BLOCK = 16
 _FOLD_FAILURE = ("modulated kernel weights did not converge within the "
                  "series budget in double precision")
+_WEIGHT_FAILURE = ("kernel weights are not finite in double precision, or "
+                   "their binomial expansion needs more than "
+                   f"{_BINOMIAL_TERMS} terms")
 # Cells of a graded mesh, at least, and its grading strength.
 _MIN_CELLS = 64
 _GRADING = 2
@@ -185,10 +198,11 @@ def _lr_weights(a, b, q):
 
     The closed forms difference nearby powers and lose ~(b/h)^2 eps of
     relative accuracy, so cells much smaller than their distance from the
-    singularity take a binomial expansion in h/a instead, and only the
-    other cells form the powers.  The expansion stops per cell once no
-    later term can change its sums in double precision, after at most
-    ``_BINOMIAL_TERMS`` terms.
+    singularity take a binomial expansion in h/a instead
+    (:func:`_binomial_sums`), and only the other cells form the powers.
+    Each row depends on its exponent and the cells alone, not on the other
+    exponents of the call; a row whose expansion needs more than
+    ``_BINOMIAL_TERMS`` terms is NaN on the small cells.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -231,39 +245,41 @@ def _binomial_sums(q, r):
     of the column ``q``, for the ratios ``r = h/a < 1/49`` of small cells.
 
     Both sums are averages of ``(1 + r s)^q > 0.98`` (``q > -1``) against
-    weights of mass 1/2, so they exceed 1/4.  Past term ``k`` every ratio
-    of successive terms is at most ``R = max(|q - k - 1| / (k + 2), 1) r``.
-    Once ``R < 1`` and ``|c_k| R < eps/64``, each later term is under half
-    an ulp of the sum it is added to and cannot change it: the cell is
-    done.  Cells are taken in decreasing order of ``r``, and each term is
-    added only up to the last cell not yet done in some row.
+    weights of mass 1/2, so they exceed 1/4.  With ``T_k = |C(q, k)| R^k``
+    at the largest ratio ``R`` of the call, every ratio of successive
+    terms past ``k`` is at most ``rate = max(|q - k| / (k + 1), 1) R``,
+    so once ``rate < 1`` and ``T_k rate / (1 - rate) <= eps/64`` the terms
+    past ``k`` add at most a sixteenth of a unit in the last place of
+    either sum, in every cell.  Each exponent stops at the first such
+    ``k`` within ``_BINOMIAL_TERMS`` terms, and its two sums are one
+    contraction of its coefficient rows ``C(q, k) / (k + 2)`` and
+    ``C(q, k) / ((k + 1)(k + 2))`` with the powers ``r^k``, added in order
+    of ``k`` by ``einsum`` (no BLAS call, whose rounding may depend on its
+    thread count).  So an exponent's sums depend on it and the ratios
+    alone, not on the other exponents of the call.  An exponent no count
+    certifies gets NaN sums, which its callers raise on.
     """
-    order = np.argsort(-r, kind="stable")
-    r = r[order]
-    ck = np.ones((q.shape[0], r.size))
-    sl = ck / 2.0
-    sr = ck / 2.0
-    live = r.size
-    qlo, qhi = float(q.min()), float(q.max())
-    for k in range(_BINOMIAL_TERMS):
-        c = ck[:, :live] * ((q - k) / (k + 1.0)) * r[:live]
-        ck[:, :live] = c
-        sl[:, :live] += c / (k + 3.0)
-        sr[:, :live] += c / ((k + 2.0) * (k + 3.0))
-        # every later ratio of successive terms is at most bound * r
-        bound = max(abs(qlo - k - 1.0), abs(qhi - k - 1.0), k + 2.0) \
-            / (k + 2.0)
-        if bound * r[0] < 1.0:
-            undone = np.nonzero((np.abs(c) * r[:live]
-                                 >= _EPS / 64.0 / bound).any(axis=0))[0]
-            if not undone.size:
-                break
-            live = int(undone[-1]) + 1
-    out_l = np.empty_like(sl)
-    out_r = np.empty_like(sr)
-    out_l[:, order] = sl
-    out_r[:, order] = sr
-    return out_l, out_r
+    k = _TERM_INDEX
+    rmax = float(r.max())
+    one = np.ones_like(q)
+    ratio = (q - k[:-1]) / (k[:-1] + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = np.cumprod(np.concatenate((one, ratio), axis=1), axis=1)
+        term = np.abs(np.cumprod(np.concatenate((one, ratio * rmax), axis=1),
+                                 axis=1))
+        rate = np.maximum(np.abs(q - k) / (k + 1.0), 1.0) * rmax
+        done = (rate < 1.0) & (term * rate <= _EPS / 64.0 * (1.0 - rate))
+    counts = np.where(done.any(axis=1), done.argmax(axis=1) + 1, 0).tolist()
+    pw = np.ones((max(max(counts), 1), r.size))
+    for j in range(1, len(pw)):
+        np.multiply(pw[j - 1], r, out=pw[j])
+    cl = coef / (k + 2.0)
+    rows = np.stack((cl, cl / (k + 1.0)), axis=1)
+    out = np.empty((2, q.shape[0], r.size))
+    for i, m in enumerate(counts):
+        out[:, i] = np.einsum("jk,kn->jn", rows[i, :, :m], pw[:m]) if m \
+            else np.nan
+    return out[0], out[1]
 
 
 def _folded_lr(lo, hi, power, mod, series):
@@ -277,12 +293,18 @@ def _folded_lr(lo, hi, power, mod, series):
     the running weights with ``cumsum``, in the order a term-by-term loop
     adds them.  Stops at the first term where ``_SMALL_TERMS`` successive
     terms have added under 1e-17 of the weight mass; raises
-    ``NonConvergence`` when the terms leave double range, or when
+    ``NonConvergence`` when a term it adds is not finite (it left double
+    range, or its binomial expansion is not certified), or when
     ``series.max_terms`` terms or the coefficients double precision can
-    hold run out first.
+    hold run out first.  Rows of a block past the stopping term are never
+    added, so they raise nothing.  The plain kernel raises on weights
+    that are not finite.
     """
     if mod is None:
-        wl, wr = _lr_weights(lo, hi, power)
+        with np.errstate(over="ignore", invalid="ignore"):
+            wl, wr = _lr_weights(lo, hi, power)
+        if not (np.all(np.isfinite(wl)) and np.all(np.isfinite(wr))):
+            raise NonConvergence(_WEIGHT_FAILURE)
         return wl[0], wr[0]
     coeffs = _ml_table(mod.beta, mod.gamma_, mod.delta, series.max_terms)
     wl = np.zeros((1, lo.size))

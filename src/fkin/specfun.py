@@ -154,16 +154,23 @@ def gamma_recip(x):
     x = float(x)
     if not math.isfinite(x):
         raise DomainError("gamma_recip requires a finite argument")
-    return float(_gamma_recip_array(x))
+    return 0.0 if _at_pole(x, round(x)) else float(_sc.rgamma(x))
+
+
+def _at_pole(x, nearest):
+    """The one pole rule of fkin's reciprocal gamma: ``x`` lies within
+    ``_POLE_TOL`` of its nearest integer ``nearest``, which is not
+    positive.  Takes floats or arrays alike."""
+    return (x < 0.5) & (nearest <= 0) & (abs(x - nearest) < _POLE_TOL)
 
 
 def _gamma_recip_array(x):
-    """``1/Gamma(x)`` elementwise, exactly zero within ``_POLE_TOL`` of a
-    pole; :func:`gamma_recip` is its checked scalar form."""
+    """``1/Gamma(x)`` elementwise, exactly zero where :func:`_at_pole`
+    holds; :func:`gamma_recip` is its checked scalar form, with the same
+    bytes."""
     x = np.asarray(x, dtype=float)
     out = _sc.rgamma(x)
-    nearest = np.round(x)
-    snap = (x < 0.5) & (nearest <= 0) & (np.abs(x - nearest) < _POLE_TOL)
+    snap = _at_pole(x, np.round(x))
     if np.any(snap):
         out = np.where(snap, 0.0, out)
     return out

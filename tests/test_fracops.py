@@ -1,16 +1,22 @@
 """Fractional integrals, singular convolutions, and the derivative stencil."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate as si
 
 from fkin.errors import DomainError, NonConvergence
-from fkin.fracops import (ConvolutionControls, MLModulator, SampledFunction,
-                          _causal_convolutions, _folded_lr, _graded_nodes, ddt,
-                          laplace_of_interpolant, rl_integral,
-                          rl_integral_grid, singular_convolution,
+from fkin.fracops import (_EPS, ConvolutionControls, MLModulator,
+                          SampledFunction, _binomial_sums,
+                          _causal_convolutions, _folded_lr, _graded_nodes,
+                          _lr_weights, ddt, laplace_of_interpolant,
+                          rl_integral, rl_integral_grid, singular_convolution,
                           singular_convolution_grid)
 from fkin.specfun import (_SMALL_TERMS, MLParams, SeriesControls, _ml_table,
                           ml_prabhakar, ml_two)
@@ -201,7 +207,9 @@ def test_unfolded_kernel_raises_on_both_meshes(mod, series):
 
 def _lr_weights_scalar(a, b, q):
     # the cell weights for one exponent: closed forms on every cell, then
-    # all 24 binomial terms on the cells small against their distance
+    # on the cells small against their distance the binomial terms up to
+    # the first k where, at the largest ratio R, the geometric bound on
+    # the rest of the series is under eps/64, added in order of k
     h = b - a
     q1 = q + 1.0
     q2 = q + 2.0
@@ -214,13 +222,25 @@ def _lr_weights_scalar(a, b, q):
     if np.any(small):
         asm = a[small]
         r = h[small] / asm
-        ck = np.ones_like(r)
-        sl = ck / 2.0
-        sr = ck / 2.0
-        for k in range(24):
-            ck = ck * ((q - k) / (k + 1.0)) * r
-            sl += ck / (k + 3.0)
-            sr += ck / ((k + 2.0) * (k + 3.0))
+        big_r = float(r.max())
+        coeff, term, coeffs = 1.0, 1.0, [1.0]
+        for k in range(64):
+            rate = max(abs(q - k) / (k + 1.0), 1.0) * big_r
+            if rate < 1.0 and term * rate <= 2.0 ** -52 / 64.0 * (1.0 - rate):
+                break
+            coeff *= (q - k) / (k + 1.0)
+            term = abs(term * ((q - k) / (k + 1.0) * big_r))
+            coeffs.append(coeff)
+        else:
+            coeffs = [math.nan]
+        sl = np.zeros_like(r)
+        sr = np.zeros_like(r)
+        rk = np.ones_like(r)
+        for k, coeff in enumerate(coeffs):
+            cl = coeff / (k + 2.0)
+            sl = sl + cl * rk
+            sr = sr + cl / (k + 1.0) * rk
+            rk = rk * r
         front = asm ** q * h[small]
         wl[small] = front * sl
         wr[small] = front * sr
@@ -277,8 +297,11 @@ def _graded_cells(t, m):
     (0.0, MLModulator(1.0, 1.0, 1.0, -1.0), range(16, 400)),
     (-0.2, MLModulator(0.8, 0.8, 2.0, -2.5), range(16, 400)),
     (-0.5, MLModulator(0.5, 0.5, 1.0, 1.5), range(16, 400)),
+    # stops within six terms, before the exponents 550 + 10 tau later in
+    # its block leave what the binomial term budget certifies
+    (550.0, MLModulator(10.0, 1.0, 1.0, -1e-3), range(3, 7)),
 ], ids=["plain-sqrt", "plain-power", "delta0", "first-block",
-        "block-edge", "exp", "decaying", "growing"])
+        "block-edge", "exp", "decaying", "growing", "steep"])
 def test_blocked_fold_matches_term_by_term(power, mod, terms):
     # summing the modulator terms in blocks repeats the additions of the
     # term-by-term loop in its order, so the weights are bitwise equal on
@@ -305,6 +328,96 @@ def test_blocked_fold_raises_where_the_loop_does():
             _folded_lr_by_term(lo, hi, -0.2, mod, series)
         with pytest.raises(NonConvergence):
             _folded_lr(lo, hi, -0.2, mod, series)
+
+
+def test_exponent_weights_do_not_depend_on_their_block():
+    # each exponent's term count comes from its own bound at the largest
+    # ratio of the cells, so its weights are the same bytes alone as next
+    # to any other exponents, certified or not
+    qs = [-0.7, 0.0, 0.4, 3.0, 17.3, 95.0, 301.5, 2000.0]
+    for lo, hi in (_grid_cells(3.0), _graded_cells(2.5, 640)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            wl, wr = _lr_weights(lo, hi, qs)
+            for i, q in enumerate(qs):
+                al, ar = _lr_weights(lo, hi, q)
+                assert al[0].tobytes() == wl[i].tobytes(), q
+                assert ar[0].tobytes() == wr[i].tobytes(), q
+
+
+def _sums_by_quadrature(q, r):
+    # the binomial sums as the integrals of (1 + r s)^q against s and
+    # 1 - s over [0, 1], to 40 digits
+    with mp.workdps(40):
+        q, r = mp.mpf(q), mp.mpf(r)
+        return (mp.quad(lambda s: (1 + r * s) ** q * s, [0, 1]),
+                mp.quad(lambda s: (1 + r * s) ** q * (1 - s), [0, 1]))
+
+
+def test_binomial_sums_against_quadrature():
+    # within a few units in the last place over the exponents the term
+    # budget serves and the ratios of small cells, each ratio alone and
+    # all in one call; at q = 300, r = 1/49.5 a fixed cut at 24 terms was
+    # 7e-10 off
+    qs = [-0.999, -0.5, -1e-3, 0.0, 0.3, 1.0, 2.7, 19.9, 64.5, 95.0, 150.3,
+          299.9, 300.0]
+    rs = [1e-8, 1e-5, 1e-3, 0.013, 1 / 49.5, 1 / 49]
+    col = np.array(qs)[:, None]
+    joint = _binomial_sums(col, np.array(rs))
+    for j, r in enumerate(rs):
+        alone = _binomial_sums(col, np.array([r]))
+        for i, q in enumerate(qs):
+            for k, ref in enumerate(_sums_by_quadrature(q, r)):
+                for got in (joint[k][i, j], alone[k][i, 0]):
+                    assert abs(got - ref) <= 4 * _EPS * abs(ref), (q, r, k)
+
+
+def test_binomial_expansion_past_its_budget_raises():
+    # q = 2000 needs about 150 terms at r = 1/49: its sums are NaN, not a
+    # cut series, and both meshes raise on them
+    sl, sr = _binomial_sums(np.array([[0.5], [2000.0]]),
+                            np.array([1e-3, 1 / 49]))
+    assert np.all(np.isfinite(sl[0])) and np.all(np.isfinite(sr[0]))
+    assert np.all(np.isnan(sl[1])) and np.all(np.isnan(sr[1]))
+    with pytest.raises(NonConvergence, match="binomial expansion"):
+        singular_convolution(lambda u: 1.0 + u, 1.0, 2000.0)
+    with pytest.raises(NonConvergence, match="binomial expansion"):
+        singular_convolution_grid(np.ones(129), 1.0 / 128, 2000.0)
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from fkin import (ConvolutionControls, KineticProblem, PowerLaw,
+                  solve_multiterm_grid)
+from fkin.fracops import MLModulator, _lr_weights, singular_convolution
+problem = KineticProblem(1, (0.5, 1.0), (1.0, 2.0), PowerLaw(1.0))
+_, grid = solve_multiterm_grid(problem, 1.0,
+                               ConvolutionControls(points_per_unit=128))
+point = singular_convolution(lambda u: np.cos(3.0 * u) + 1.5, 2.5, -0.4,
+                             MLModulator(0.7, 1.3, 1.5, -0.9))
+m = np.arange(1.0, 4097.0)
+block = _lr_weights((m - 1.0) / 512, m / 512, 0.3 + 0.7 * np.arange(16.0))
+for out in (grid, np.float64(point), *block):
+    print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_weights_do_not_depend_on_the_blas_thread_count():
+    # the contractions take no BLAS call, so a grid solve, a pointwise
+    # modulated convolution and a block of weights on 4096 cells give the
+    # same bytes on one BLAS thread and on two (a matrix product over the
+    # block does not, on OpenBLAS)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(__file__).resolve().parent.parent
+                                  / "src"))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE],
+                              env=env, capture_output=True, text=True,
+                              timeout=300, check=True)
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 class TestDerivativeStencil:

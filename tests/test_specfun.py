@@ -11,8 +11,8 @@ from fkin.diffusion import series_n1, series_n3
 from fkin.errors import DomainError, NonConvergence
 from fkin.specfun import (_EPS, _GUARD_FACTOR, _GUARD_REL, _SERIES_TOL,
                           _SMALL_TERMS, MLParams, SeriesControls, _Family,
-                          _ml_contour, _ml_rescue, _ml_table,
-                          _ml_values, _sum_extended, gamma_recip,
+                          _gamma_recip_array, _ml_contour, _ml_rescue,
+                          _ml_table, _ml_values, _sum_extended, gamma_recip,
                           ml_one, ml_prabhakar, ml_two, pochhammer)
 
 # reference constants frozen from extended-precision series runs
@@ -54,6 +54,26 @@ class TestGammaRecip:
         assert gamma_recip(-0.5) < 0.0
         assert gamma_recip(-1.5) > 0.0
         assert gamma_recip(-2.5) < 0.0
+
+    def test_scalar_form_matches_the_array_form(self):
+        # one pole rule: the scalar and the elementwise form agree bitwise
+        # at poles, inside and just outside the snapping distance, and at
+        # ordinary points, including the half-integers where rounding
+        # to the nearest integer ties
+        tol = specfun._POLE_TOL
+        xs = [0.0, -0.0, -1.0, -7.0, -170.0, 0.5, -0.5, -2.5, 1.0, 3.7,
+              171.5, -3.3, 1e-300, -1e-300, 1e-9]
+        for pole in (0.0, -1.0, -4.0, -60.0):
+            xs += [pole + d for d in (tol / 2, -tol / 2, 0.99 * tol,
+                                      -0.99 * tol, 2 * tol, -2 * tol)]
+        xs = np.array(xs)
+        array = _gamma_recip_array(xs)
+        for x, value in zip(xs.tolist(), array.tolist()):
+            assert np.float64(gamma_recip(x)).tobytes() == \
+                np.float64(value).tobytes(), x
+        # zero at the five poles, the sixteen points inside the snapping
+        # distance and +-1e-300, nowhere else
+        assert np.count_nonzero(array == 0.0) == 5 + 16 + 2
 
 
 class TestPochhammer:
