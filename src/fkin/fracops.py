@@ -339,16 +339,14 @@ def _folded_lr(lo, hi, power, mod, series):
     raise NonConvergence(_FOLD_FAILURE)
 
 
-def singular_convolution(f, t, power, modulator=None, controls=None,
-                         n_cells=None):
+def singular_convolution(f, t, power, modulator=None, controls=None):
     """``integral_0^t f(u) (t-u)^power modulator(t-u) du``.
 
     ``power`` must exceed -1.  ``modulator`` may be None or an
     :class:`MLModulator`, integrated exactly (``NonConvergence`` when its
     series cannot be folded).  The value is extrapolated from the graded
-    mesh of ``n_cells`` cells and its doubling.  ``n_cells`` overrides the
-    automatic cell count; derivative stencils rely on that to keep one
-    fixed mesh family across neighboring evaluation points.
+    mesh of ``controls.points_per_unit`` cells per unit of ``t`` (never
+    fewer than 64) and its doubling.
     """
     if not -1.0 < power < math.inf:
         raise DomainError("kernel exponent must be finite and exceed -1")
@@ -359,7 +357,7 @@ def singular_convolution(f, t, power, modulator=None, controls=None,
     if t == 0.0:
         return 0.0
     c = controls if controls is not None else ConvolutionControls()
-    m_cells = n_cells if n_cells is not None else _cells_for(t, c)
+    m_cells = _cells_for(t, c)
 
     def level(m):
         nodes = _graded_nodes(t, m)
@@ -374,13 +372,13 @@ def singular_convolution(f, t, power, modulator=None, controls=None,
     return (4.0 * level(2 * m_cells) - level(m_cells)) / 3.0
 
 
-def rl_integral(f, t, nu, controls=None, n_cells=None):
-    """Riemann-Liouville fractional integral of order ``nu > 0`` at ``t``."""
+def rl_integral(f, t, nu, controls=None):
+    """Riemann-Liouville fractional integral of order ``nu > 0`` at ``t``,
+    by :func:`singular_convolution` on the mesh ``controls`` sets."""
     if nu <= 0.0:
         raise DomainError("the integral order must be positive")
     return gamma_recip(nu) * singular_convolution(f, t, nu - 1.0,
-                                                  controls=controls,
-                                                  n_cells=n_cells)
+                                                  controls=controls)
 
 
 def _causal_convolutions(fs, kernels):
@@ -440,9 +438,8 @@ def ddt(g, t):
     ``g`` must be smooth on a neighborhood of ``t``; when ``t`` sits too
     close to 0 a one-sided stencil is used instead.  The base step is
     ``max(|t|, 1) eps^(1/3)``, halved twice, and the three differences are
-    Richardson-extrapolated.  Callers whose ``g`` is itself a quadrature
-    must keep the mesh family frozen across calls, otherwise the rule
-    differences quadrature noise.
+    Richardson-extrapolated.  A ``g`` computed by quadrature carries
+    noise of its own, which the differences amplify by ``1/h``.
     """
     h0 = max(abs(t), 1.0) * _EPS ** (1.0 / 3.0)
     if t > 8.0 * h0:

@@ -11,9 +11,11 @@ Mittag-Leffler forcing every route writes that image as a sum of terms
 ``C t^(g-1) E^delta_{b,g}(-k t^b)`` by one engine.  Routes differ only in
 how they split the operator: binomial rates give one term, geometric rates
 telescope to two, other orders expand in resolvent levels about the
-lowest-order term.  Forcings without such an image take that expansion
-with every term a singular convolution of the forcing.  Each route is one
-row of ``_TABLE``, its label and the plan it hands to that engine.
+lowest-order term.  Each route is one row of ``_TABLE``, its label and the
+plan it hands to that engine.  A pattern row fits only a forcing with a
+Prabhakar image against its own plan; the expansion rows take any forcing,
+and one without such an image against their base has every term of the
+expansion a singular convolution of the forcing.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence, ResourceError
 from .fracops import (ConvolutionControls, MLModulator, SampledFunction,
-                      ddt, laplace_of_interpolant, rl_integral_grid,
+                      laplace_of_interpolant, rl_integral_grid,
                       singular_convolution, singular_convolution_grid,
                       _cells_for)
+from .fracops import ddt  # not called here; bench/tracing.py patches it
 from .specfun import _ml_values
 
 __all__ = [
@@ -89,6 +92,10 @@ class PowerLaw:
     def __post_init__(self):
         if not 0.0 < self.rho < math.inf:
             raise DomainError("rho must be positive and finite")
+        try:
+            math.gamma(self.rho)
+        except OverflowError:
+            raise DomainError("Gamma(rho) overflows a double") from None
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -255,12 +262,10 @@ def _expansion_plan(problem):
                  levels=len(problem.nus) > 1)
 
 
-def _closed(problem, ts, plan, controls=None, truncation=None):
-    """Evaluate a route plan term by term: ``C s^-g (1 + k s^-b)^-delta``
-    inverts to ``C t^(g-1) E^delta_{b,g}(-k t^b)`` (Prabhakar 1971)."""
-    kern = _kernel(problem.forcing, plan.b, plan.k)
-    if kern is None:
-        return _quadrature_expansion(problem, ts, controls, truncation)
+def _closed(problem, ts, plan, kern, truncation=None):
+    """Evaluate a route plan term by term against the forcing image
+    ``kern``: ``C s^-g (1 + k s^-b)^-delta`` inverts to
+    ``C t^(g-1) E^delta_{b,g}(-k t^b)`` (Prabhakar 1971)."""
     ts = _times(ts)
     const, g, d = kern
     arg = -plan.k * ts ** plan.b
@@ -285,10 +290,22 @@ def _closed(problem, ts, plan, controls=None, truncation=None):
     return _sum_levels(problem, ts, plan.levels, level_sum, truncation)
 
 
+def _run(problem, ts, plan, controls=None, truncation=None):
+    """Run a route plan: in closed form where the forcing has a Prabhakar
+    image against it, else by :func:`_quadrature_expansion`.  Pattern
+    plans fit only forcings with such an image, so only the expansion
+    plan, whose base that expansion shares, ever takes the quadrature."""
+    kern = _kernel(problem.forcing, plan.b, plan.k)
+    if kern is None:
+        return _quadrature_expansion(problem, ts, controls, truncation)
+    return _closed(problem, ts, plan, kern, truncation)
+
+
 def _quadrature_expansion(problem, ts, controls=None, truncation=None,
                           grid=False):
     """The resolvent expansion with every term a singular convolution of
-    the forcing: the one route for forcings without a Prabhakar image.
+    the forcing: the expansion plan for forcings without a Prabhakar image
+    against its base.
 
     Level 0 is ``f - a1 conv(nu1, 1)`` and level ``l`` sums
     ``coef conv(gamma_r, l + 1)`` over its groups, where ``conv(g, d)``
@@ -438,42 +455,46 @@ def _geometric_plan(problem):
                  numer=((1.0, 0.0), (-a, nu)))
 
 
-def _merged_plan(kind):
-    """The plan of binomial rates with a forcing of type ``kind`` whose
-    image merges with it, or None: a fully closed form."""
-    def plan_of(problem):
-        plan, f = _binomial_plan(problem), problem.forcing
+def _imaged(plan_of, kind=object):
+    """A pattern row: the plan of ``plan_of`` where the forcing is a
+    ``kind`` with a Prabhakar image against that plan, else None."""
+    def fitting(problem):
+        plan, f = plan_of(problem), problem.forcing
         if (plan is not None and isinstance(f, kind)
                 and _kernel(f, plan.b, plan.k) is not None):
             return plan
         return None
-    return plan_of
+    return fitting
 
 
 # Every route in select_solver's order of preference: its label, its plan
 # (None where the problem does not fit), the refusal it raises when forced
 # onto a problem that does not fit, and its docstring.
 _TABLE = (
-    ("ml-closed", _merged_plan(MLForcing),
+    ("ml-closed", _imaged(_binomial_plan, MLForcing),
      "needs binomial rates and matched Mittag-Leffler forcing",
      """Fully closed solution for binomial rates with matched ML forcing.
 
     The forcing resolvent and the operator resolvent merge, giving
     ``N0 t^(gamma_-1) E^(delta+n)_{nu, gamma_}(-(c t)^nu)``."""),
-    ("power-closed", _merged_plan(PowerLaw),
+    ("power-closed", _imaged(_binomial_plan, PowerLaw),
      "needs binomial rates and power-law forcing",
      """Fully closed solution for binomial rates with power-law forcing:
     ``N0 Gamma(rho) t^(rho-1) E^n_{nu, rho}(-(c t)^nu)``."""),
     ("single", lambda p: _expansion_plan(p) if len(p.nus) == 1 else None,
      "this route needs exactly one term",
-     """Solver for one term ``a I^nu``, ``a`` of either sign: the operator
-    inverse ``(1 + a s^-nu)^-1``."""),
-    ("binomial", _binomial_plan, "rates do not follow the binomial pattern",
+     """Solver for one term ``a I^nu``, ``a`` of either sign (the binomial
+    plan would need ``a > 0``): the operator inverse ``(1 + a s^-nu)^-1``,
+    a pure Mittag-Leffler expression for unit, power-law and matched
+    Mittag-Leffler forcings."""),
+    ("binomial", _imaged(_binomial_plan),
+     "needs binomial rates and a forcing with a Prabhakar image against them",
      """Solver for binomially weighted rates ``C(n, r) c^(nu r)``.
 
     The full operator is then ``(1 + c^nu I^nu)^n``, so the solution is a
     single Prabhakar term of degree ``n + d``."""),
-    ("geometric", _geometric_plan, "rates do not follow the geometric pattern",
+    ("geometric", _imaged(_geometric_plan),
+     "needs geometric rates and a forcing with a Prabhakar image against them",
      """Solver for geometric rates ``a^r`` on orders ``r nu``, ``n >= 2``.
 
     The geometric sum telescopes, leaving two kernels of order
@@ -493,13 +514,13 @@ _TABLE = (
 
 
 def _route(label, plan_of, refusal, doc):
-    """The solver of one row of ``_TABLE``: its plan through
-    :func:`_closed`, or ``DomainError(refusal)``."""
+    """The solver of one row of ``_TABLE``: its plan through :func:`_run`,
+    or ``DomainError(refusal)``."""
     def solve(problem: KineticProblem, ts, controls=None, truncation=None):
         plan = plan_of(problem)
         if plan is None:
             raise DomainError(refusal)
-        return _closed(problem, ts, plan, controls, truncation)
+        return _run(problem, ts, plan, controls, truncation)
 
     solve.__name__ = solve.__qualname__ = "solve_" + label.replace("-", "_")
     solve.__doc__ = doc
@@ -510,6 +531,7 @@ def _route(label, plan_of, refusal, doc):
 ROUTES = {row[0]: _route(*row) for row in _TABLE}
 solve_ml_closed = ROUTES["ml-closed"]
 solve_power_closed = ROUTES["power-closed"]
+solve_single_term = ROUTES["single"]
 solve_binomial = ROUTES["binomial"]
 solve_geometric = ROUTES["geometric"]
 solve_arithmetic = ROUTES["arithmetic"]
@@ -519,51 +541,22 @@ solve_multiterm = ROUTES["multiterm"]
 def select_solver(problem: KineticProblem):
     """``(label, solver)`` of the first route in :data:`ROUTES` that fits:
     fully closed forms, then the single-term, binomial, geometric and
-    arithmetic routes, then the general expansion.  Every solver takes
-    ``(problem, ts, controls=None, truncation=None)``."""
+    arithmetic routes, then the general expansion, each row's plan found
+    once.  The solver takes ``(problem, ts, controls=None,
+    truncation=None)`` and runs the plan found here; given another problem,
+    it is ``ROUTES[label]``."""
     for label, plan_of, _, _ in _TABLE:
-        if plan_of(problem) is not None:
-            return label, ROUTES[label]
+        plan = plan_of(problem)
+        if plan is not None:
+            break
+    route = ROUTES[label]
 
+    def solve(given, ts, controls=None, truncation=None):
+        if given is not problem:
+            return route(given, ts, controls, truncation)
+        return _run(problem, ts, plan, controls, truncation)
 
-def solve_single_term(problem: KineticProblem, ts, via="closed",
-                      controls=None):
-    """Solver for a single relaxation term of order ``nu``.
-
-    ``via="closed"`` is the ``single`` route of :data:`ROUTES`: the
-    operator inverse ``(1 + a s^-nu)^-1`` for a rate ``a`` of either sign
-    (the binomial plan would need ``a > 0``), a pure Mittag-Leffler
-    expression for unit, power-law and matched Mittag-Leffler forcings.
-    ``via="derivative"`` instead differentiates the convolution of the
-    forcing with ``E_nu(-a (t-u)^nu)``; the two routes rest on different
-    identities and serve as mutual checks.
-    The derivative route is accurate in absolute terms only: its
-    difference stencil sees quadrature noise of fixed absolute size, so
-    its relative error grows as the solution decays.  For ``nu = 1``,
-    ``a = 1.7`` the error is 1.1e-11 at t = 1 and 6.3e-11 at t = 4, where
-    the solution is 1.1e-3: 6e-11 and 5.7e-8 relative.
-    """
-    if len(problem.nus) != 1:
-        raise DomainError("this route needs exactly one term")
-    if via == "closed":
-        return ROUTES["single"](problem, ts, controls)
-    if via == "derivative":
-        controls = controls if controls is not None else ConvolutionControls()
-        f = problem.forcing.value
-        mod = MLModulator(beta=problem.nus[0], gamma_=1.0, delta=1.0,
-                          coef=-problem.rates[0])
-
-        def deriv(t):
-            # one frozen mesh family around t, so ddt differences values
-            # rather than quadrature noise
-            cells = _cells_for(max(t, 1e-3), controls)
-            return ddt(lambda tt: singular_convolution(
-                f, tt, 0.0, mod, controls, n_cells=cells), t)
-
-        return problem.n0 * np.array([
-            deriv(t) if t > 0.0 else float(f(np.asarray(t, float)))
-            for t in _times(ts)])
-    raise DomainError("via must be 'closed' or 'derivative'")
+    return label, solve
 
 
 def binomial_problem(n0, n, nu, c, forcing):

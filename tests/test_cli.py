@@ -137,6 +137,18 @@ class TestRun:
         assert "finite" in record["message"]
         assert not (tmp_path / "o.csv").exists()
 
+    def test_power_law_gamma_overflow(self, tmp_path, capsys):
+        # Gamma(200) overflows a double: a configuration error, not a
+        # traceback
+        payload = kinetic_payload()
+        payload["problem"]["forcing"] = {"type": "power", "rho": 200}
+        path = write_config(tmp_path, payload)
+        assert main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "Gamma(rho)" in record["message"]
+        assert not (tmp_path / "o.csv").exists()
+
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent/cfg.json"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"

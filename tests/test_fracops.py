@@ -83,12 +83,13 @@ class TestRLIntegral:
         assert rel(got, ref) < 1e-13
 
     def test_refinement_monotone(self):
-        # the cell-count override exists for convergence studies: the
-        # error against the closed power rule must shrink with the mesh
+        # the error against the closed power rule must shrink with the
+        # mesh: at t = 2 these densities give 64 to 512 cells
         a, b, t = 0.6, 1.3, 2.0
         ref = math.gamma(b + 1.0) / math.gamma(b + 1.0 + a) * t ** (b + a)
-        errs = [abs(rl_integral(lambda u: u ** b, t, a, n_cells=n) - ref)
-                for n in (64, 128, 256, 512)]
+        errs = [abs(rl_integral(lambda u: u ** b, t, a,
+                                ConvolutionControls(points_per_unit=n)) - ref)
+                for n in (32, 64, 128, 256)]
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
 
     def test_zero_time(self):

@@ -8,8 +8,8 @@ import scipy.special as sc
 
 import fkin
 from fkin.errors import DomainError, NonConvergence, ResourceError
-from fkin.kinetics import (ROUTES, KineticProblem, MLForcing, PowerLaw,
-                           Sampled, TruncationPolicy, Unit,
+from fkin.kinetics import (_TABLE, ROUTES, KineticProblem, MLForcing,
+                           PowerLaw, Sampled, TruncationPolicy, Unit,
                            _quadrature_expansion, _sum_levels,
                            binomial_problem, geometric_problem,
                            laplace_domain, residual_grid, select_solver,
@@ -18,7 +18,8 @@ from fkin.kinetics import (ROUTES, KineticProblem, MLForcing, PowerLaw,
                            solve_multiterm_grid, solve_power_closed,
                            solve_single_term)
 from fkin.fracops import ConvolutionControls, SampledFunction
-from fkin.oracles import StepperControls, forward_laplace, volterra_solve
+from fkin.oracles import (StepperControls, forward_laplace, invert_laplace,
+                          volterra_solve)
 
 TS = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
 
@@ -169,12 +170,6 @@ class TestClassicalLimits:
 
 
 class TestRouteAgreement:
-    def test_closed_vs_derivative_single(self):
-        p = KineticProblem(1, (0.5,), (1.0,), Unit())
-        a = solve_single_term(p, TS, via="closed")
-        b = solve_single_term(p, TS, via="derivative")
-        assert max_rel(a, b) < 1e-8
-
     def test_binomial_vs_multiterm(self):
         p = binomial_problem(1, 2, 0.5, 0.5, Unit())
         assert max_rel(solve_binomial(p, TS), solve_multiterm(p, TS)) < 1e-8
@@ -222,8 +217,10 @@ class TestRouteAgreement:
 
 
 class TestQuadratureRoute:
-    """Forcings without a Prabhakar image take the quadrature expansion,
-    whatever the rate pattern."""
+    """A forcing without a Prabhakar image against the expansion base
+    makes the single, arithmetic and multiterm routes take the quadrature
+    expansion; the pattern routes refuse a forcing without an image
+    against their own plan."""
 
     # samples of t on [0, 8]: the forcing equals PowerLaw(2) there
     GRID = np.linspace(0.0, 8.0, 33)
@@ -261,14 +258,49 @@ class TestQuadratureRoute:
         assert max_rel(got, np.exp(-5.0)) < 1e-12
 
     def test_unmatched_ml_forcing(self):
-        # the forcing's c^nu = 1/2 differs from the base c_nu = 2^(-1/2)
-        # of the binomial rates; each time point costs about 0.4 s
+        # the forcing's c^nu = 1/2 differs from both the base c_nu = 2^(-1/2)
+        # of the binomial rates and the expansion base a1 = 2^(1/2); each
+        # time point costs about 0.4 s
         p = binomial_problem(1, 2, 0.5, 0.5,
                              MLForcing(nu=0.5, gamma_=2.0, delta=1.5, c=0.25))
         name, solver = select_solver(p)
-        assert name == "binomial"
+        assert name == "arithmetic"
         ts = TS[:3]
         assert max_rel(solver(p, ts), self.stepped(p, ts)) < 1e-4
+
+    def test_ml_forcing_matched_to_the_expansion(self, monkeypatch):
+        # binomial rates with base c_nu = 1/2, and a forcing matched to the
+        # expansion base (nu1, a1) = (1/2, 1): the arithmetic route's plan
+        # takes it in closed form
+        p = KineticProblem(1, (0.5, 1.0), (1.0, 0.25),
+                           MLForcing(0.5, 1.5, 1.0, 1.0))
+        ts = TS[:4]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed form takes no quadrature")
+
+        monkeypatch.setattr(fkin.kinetics, "singular_convolution", refuse)
+        want = ROUTES["arithmetic"](p, ts)
+        name, solver = select_solver(p)
+        assert name == "arithmetic"
+        got = solver(p, ts)
+        assert got.tolist() == want.tolist()
+        talbot = [invert_laplace(lambda s: laplace_domain(p, s), t)
+                  for t in ts]
+        assert max_rel(got, talbot) < 1e-6
+
+    @pytest.mark.parametrize("label, make", [
+        ("binomial", binomial_problem), ("geometric", geometric_problem)])
+    @pytest.mark.parametrize("forcing", [
+        RAMP, MLForcing(nu=0.5, gamma_=2.0, delta=1.5, c=0.25)],
+        ids=["ramp", "unmatched-ml"])
+    def test_pattern_route_refuses_forcing_without_image(self, label, make,
+                                                         forcing):
+        refusal = {row[0]: row[2] for row in _TABLE}[label]
+        assert select_solver(make(1, 2, 0.5, 0.5, Unit()))[0] == label
+        with pytest.raises(DomainError) as err:
+            ROUTES[label](make(1, 2, 0.5, 0.5, forcing), TS)
+        assert str(err.value) == refusal
 
 
 class TestStructure:
@@ -350,6 +382,8 @@ def test_residual_shrinks_with_mesh():
     lambda: TruncationPolicy(l_max=math.nan),
     lambda: TruncationPolicy(l_max=2.5),
     lambda: TruncationPolicy(max_compositions=2.5),
+    # Gamma(rho) overflows a double
+    lambda: PowerLaw(172.0),
 ])
 def test_problem_validation(bad):
     with pytest.raises(DomainError):
@@ -366,8 +400,6 @@ def test_negative_times_rejected():
             solve_single_term(p, np.array([1.0, bad]))
         with pytest.raises(DomainError):
             solve_multiterm_grid(p, bad)
-    with pytest.raises(DomainError):
-        solve_single_term(p, np.array([1.0]), via="bogus")
 
 
 # one problem each route fits, and select_solver gives to it
@@ -397,10 +429,11 @@ class TestRouteTable:
         assert got.tolist() == solver(problem, TS).tolist()
 
     @pytest.mark.parametrize("label, make", [
-        ("binomial", binomial_problem), ("geometric", geometric_problem)])
+        ("arithmetic", binomial_problem), ("multiterm", geometric_problem)])
     def test_forced_route_obeys_truncation(self, label, make):
-        # a sampled forcing has no Prabhakar image, so the forced route
-        # takes the quadrature expansion, whose levels the policy bounds
+        # a sampled forcing has no Prabhakar image, so the forced expansion
+        # route takes the quadrature expansion, whose levels the policy
+        # bounds
         ramp = Sampled(SampledFunction(np.linspace(0.0, 2.0, 9),
                                        np.linspace(0.0, 2.0, 9)))
         problem = make(1, 2, 0.5, 0.5, ramp)
@@ -413,13 +446,24 @@ class TestRouteTable:
             assert getattr(fkin, name) is not None, name
         public = {label: "solve_" + label.replace("-", "_")
                   for label in ROUTES}
+        public["single"] = "solve_single_term"
         for label, name in public.items():
-            if label == "single":
-                # solve_single_term wraps this entry with its second route
-                assert name not in fkin.__all__
-                continue
             assert name in fkin.__all__
             assert getattr(fkin, name) is ROUTES[label]
+
+    @pytest.mark.parametrize("label", list(ROUTES))
+    def test_selected_solver_runs_the_selected_plan(self, label,
+                                                    monkeypatch):
+        problem = _FITTING[label]
+        want = ROUTES[label](problem, TS)
+        name, solver = select_solver(problem)
+        assert name == label
+
+        def again(*args, **kwargs):
+            raise AssertionError("the selected plan was evaluated again")
+
+        monkeypatch.setattr(fkin.kinetics, "_Plan", again)
+        assert solver(problem, TS).tolist() == want.tolist()
 
     @pytest.mark.parametrize("problem, first", [
         (binomial_problem(1, 2, 0.5, 0.5, PowerLaw(1.5)), "power-closed"),
