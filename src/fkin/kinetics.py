@@ -278,10 +278,12 @@ def _closed(problem, ts, plan, kern, truncation=None):
             part = None
             for gamma_r, weight in groups:
                 gg = g + power + gamma_r
-                with np.errstate(divide="ignore"):
+                ml = _ml_values(plan.b, gg, delta, arg[pos])
+                # a term past the double range is raised on by _sum_levels
+                with np.errstate(divide="ignore", over="ignore",
+                                 invalid="ignore"):
                     head = ts[pos] ** (gg - 1.0)
-                term = (problem.n0 * const * coef * weight * head
-                        * _ml_values(plan.b, gg, delta, arg[pos]))
+                    term = problem.n0 * const * coef * weight * head * ml
                 out = term if out is None else out + term
                 part = term if part is None else part + term
             mass = mass + np.abs(part)
@@ -353,7 +355,8 @@ def _sum_levels(problem, ts, levels, level_sum, truncation):
     each order past the first, ``(nu_j, a_j)``, gives ``(gamma_r + nu_j,
     -c a_j)`` in the next, where equal exponents merge.  A time whose
     summed magnitude passes ``_CANCEL_LIMIT`` times its value raises
-    ``NonConvergence``.
+    ``NonConvergence``, as does a value past the double range, naming the
+    first such time.
     """
     groups = [(0.0, 1.0)]
     vals, mass = level_sum(slice(None), 0, groups)
@@ -382,6 +385,11 @@ def _sum_levels(problem, ts, levels, level_sum, truncation):
             np.abs(vals[pos]), 1e-290)
         small[pos] = np.where(tiny, small[pos] + 1, 0)
         active[pos] = small[pos] < 2
+    finite = np.isfinite(vals)
+    if not np.all(finite):
+        raise NonConvergence(
+            f"solution at t={ts[np.argmin(finite)]:g} is beyond the double "
+            "range")
     if np.any(active):
         raise NonConvergence(
             f"resolvent expansion still moving after {policy.l_max} levels"

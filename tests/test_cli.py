@@ -149,6 +149,20 @@ class TestRun:
         assert "Gamma(rho)" in record["message"]
         assert not (tmp_path / "o.csv").exists()
 
+    def test_value_past_the_double_range(self, tmp_path, capsys):
+        # Gamma(151) t^149 overflows at t = 10: a NonConvergence record,
+        # not a CSV holding inf
+        payload = kinetic_payload(
+            time_grid={"start": 1.0, "stop": 10.0, "count": 2})
+        payload["problem"]["forcing"] = {"type": "power", "rho": 150}
+        path = write_config(tmp_path, payload)
+        assert main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "SolverError"
+        assert record["message"] == ("kinetic evaluation failed: solution at "
+                                     "t=10 is beyond the double range")
+        assert not (tmp_path / "o.csv").exists()
+
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent/cfg.json"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"

@@ -13,6 +13,7 @@ from fkin.diffusion import (DiffusionProblem, StableParams, asymptotic_n2,
                             fundamental_solution, levy_density, series_n1,
                             series_n3)
 from fkin.errors import DomainError, NonConvergence, NotSupported
+from fkin.specfun import _EPS, _GUARD_FACTOR, _GUARD_REL
 
 # frozen from independent 120-digit term-by-term summations of the
 # residue series, arguments promoted as exact doubles
@@ -385,7 +386,8 @@ class TestKanterRoute:
                 if B in bulk:
                     # the bulk residue sum against the integral it never
                     # uses there
-                    kanter = diffusion._kanter_solution(alpha, dim, d, x, t)
+                    kanter = diffusion._kanter_solution(
+                        alpha, dim, d, np.array([x]), t)[0]
                     assert rel(got, kanter) < 1e-12
 
     @pytest.mark.parametrize("dim", [1, 3])
@@ -399,12 +401,13 @@ class TestKanterRoute:
             assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_stable_density_certified_where_series_fails(self, monkeypatch):
+        # Kanter points, the entries of the array calls
         calls = []
         moments = diffusion._kanter_moments
 
-        def counted(rho, *args):
-            calls.append(rho)
-            return moments(rho, *args)
+        def counted(rho, c, log_scale):
+            calls.extend([rho] * c.size)
+            return moments(rho, c, log_scale)
 
         monkeypatch.setattr(diffusion, "_kanter_moments", counted)
         for rho in np.round(np.arange(0.05, 0.96, 0.05), 2):
@@ -425,6 +428,24 @@ class TestKanterRoute:
             fundamental_solution(DiffusionProblem(0.6, 1.0, 3), 20.0, 1.0)
         with pytest.raises(NonConvergence):
             levy_density(StableParams(0.75), 0.08)
+        # a call with several starved Kanter points among series points
+        # raises the text of its first Kanter point called alone
+        calls = [
+            (lambda v: fundamental_solution(DiffusionProblem(0.9, 1.0, 1),
+                                            v, 1.0), [1.0, 12.0, 0.5, 10.0]),
+            (lambda v: fundamental_solution(DiffusionProblem(0.6, 1.0, 3),
+                                            v, 1.0), [0.3, 25.0, 1.5, 20.0]),
+            (lambda v: levy_density(StableParams(0.75), v),
+             [2.0, 0.09, 1.0, 0.08]),
+        ]
+        for call, points in calls:
+            with pytest.raises(NonConvergence) as alone:
+                call(points[1])
+            with pytest.raises(NonConvergence) as joint:
+                call(np.array(points))
+            assert str(joint.value) == str(alone.value)
+            assert str(alone.value) != str(pytest.raises(
+                NonConvergence, call, points[3]).value)
 
 
 def _mp_residue_solution(alpha, dim, x, scale=4.0):
@@ -507,11 +528,68 @@ class TestSwitch:
             for B in (1.0 - 1e-9, 1.0 + 1e-9):
                 x = 2.0 * math.sqrt(B)
                 series = diffusion._residue_sum(
-                    coeffs, x, diffusion._scale_parts(1.0, 1.0, alpha))
-                kanter = diffusion._kanter_solution(alpha, dim, 1.0, x, 1.0)
+                    coeffs, np.array([x]),
+                    diffusion._scale_parts(1.0, 1.0, alpha))[0]
+                kanter = diffusion._kanter_solution(alpha, dim, 1.0,
+                                                    np.array([x]), 1.0)[0]
                 got = fundamental_solution(p, x, 1.0)
                 assert got == (series if B < 1.0 else kanter)
                 assert rel(series, kanter) < 1e-13
+
+
+def _guard_of_one_row(terms):
+    """The series guard of one point's terms on their own: ``math.fsum``
+    and ``np.sum`` of the magnitudes over all of them, zeros too."""
+    if not np.all(np.isfinite(terms)):
+        return 0.0, False, False
+    total = math.fsum(terms.ravel())
+    absum = float(np.sum(np.abs(terms)))
+    scale = max(abs(total), _EPS * absum, 1e-300)
+    converged = bool(np.all(np.abs(terms[..., -3:])
+                            <= diffusion._STOP_TOL * scale))
+    clean = _GUARD_FACTOR * _EPS * absum <= _GUARD_REL * abs(total)
+    return total, converged, clean
+
+
+@pytest.mark.parametrize("shape", [(40, 257), (40, 2, 97)])
+def test_row_guard_matches_each_row_alone(shape):
+    # alternating series with runs of exact zeros inside them and up to
+    # their end: by row, of random decay, e^-w summed from its Taylor
+    # series (which cancels), or cut while its terms are large; one row
+    # holds only negative zeros, one an infinity
+    rng = np.random.default_rng(11)
+    rows, n = shape[0], shape[-1]
+    terms = np.zeros(shape)
+    for i, row in enumerate(terms.reshape(rows, -1, n)):
+        for series in row:
+            length = int(rng.integers(n // 2, n + 1))
+            if i % 3 == 1:
+                w = rng.uniform(15.0, 30.0)
+                ms = np.arange(length)
+                vals = np.exp(ms * math.log(w) - sc.gammaln(ms + 1.0))
+            else:
+                logs = np.cumsum(rng.uniform(-6.0, 1.0, length))
+                if i % 3 == 2:
+                    logs = rng.uniform(-1.0, 0.0, length)
+                vals = np.exp(logs - logs.max() + rng.uniform(-30.0, 30.0))
+            vals[1::2] *= -1.0
+            for _ in range(int(rng.integers(0, 4))):
+                lo = int(rng.integers(1, length))
+                vals[lo:lo + int(rng.integers(1, 40))] = 0.0
+            series[:length] = vals
+    terms[3] = -0.0
+    terms[5].flat[7] = math.inf
+    totals, converged, clean = diffusion._fsum_with_guard(terms)
+    assert totals.shape == converged.shape == clean.shape == (rows,)
+    for i in range(rows):
+        total, conv, ok = _guard_of_one_row(terms[i])
+        if i != 5:
+            assert totals[i] == math.fsum(terms[i].ravel())
+        assert (totals[i], math.copysign(1.0, totals[i]), converged[i],
+                clean[i]) == (total, math.copysign(1.0, total), conv, ok), i
+    # both outcomes of both flags are exercised
+    assert 0 < np.count_nonzero(converged & clean) < rows - 1
+    assert np.any(converged & ~clean) and np.any(~converged)
 
 
 class TestArrayInput:
@@ -520,24 +598,32 @@ class TestArrayInput:
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_radii_match_scalar_calls(self, dim):
+        rng = np.random.default_rng(dim)
         for alpha in (0.05, 0.5, 1.0):
             p = DiffusionProblem(alpha, 0.8, dim)
-            # both routes, and the origin in dimension 1
+            # both routes, and the origin in dimension 1; then the same
+            # radii shuffled and repeated, more than one block of rows
             xs = np.linspace(0.0 if dim == 1 else 0.05, 6.0, 25)
-            got = fundamental_solution(p, xs, 1.3)
-            assert isinstance(got, np.ndarray) and got.shape == xs.shape
-            for x, value in zip(xs, got):
-                assert value == fundamental_solution(p, float(x), 1.3)
+            mixed = rng.permutation(np.concatenate([xs] * 6 + [xs[::3]]))
+            assert mixed.size > diffusion._ROWS
+            for radii in (xs, mixed):
+                got = fundamental_solution(p, radii, 1.3)
+                assert isinstance(got, np.ndarray)
+                assert got.shape == radii.shape
+                for x, value in zip(radii, got):
+                    assert value == fundamental_solution(p, float(x), 1.3)
 
     def test_times_match_scalar_calls(self, monkeypatch):
+        # Kanter points, the entries of the array calls
         calls = []
         moments = diffusion._kanter_moments
 
-        def counted(rho, *args):
-            calls.append(rho)
-            return moments(rho, *args)
+        def counted(rho, c, log_scale):
+            calls.extend([rho] * c.size)
+            return moments(rho, c, log_scale)
 
         monkeypatch.setattr(diffusion, "_kanter_moments", counted)
+        rng = np.random.default_rng(5)
         for rho in (0.3, 0.75, 0.95):
             sp = StableParams(rho)
             # below the underflow floor, then Kanter's integral where the
@@ -551,6 +637,12 @@ class TestArrayInput:
             assert got[0] == 0.0
             assert got.tolist() == [levy_density(sp, float(t)) for t in ts]
             assert len(calls) == 2 * n_kanter
+            # the same times shuffled and repeated, more than one block of
+            # rows: each entry keeps its bytes
+            order = rng.permutation(np.tile(np.arange(ts.size), 6))
+            assert order.size > diffusion._ROWS
+            assert levy_density(sp, ts[order]).tolist() == got[order].tolist()
+            assert len(calls) == 8 * n_kanter
             calls.clear()
 
     def test_scalar_in_scalar_out(self):

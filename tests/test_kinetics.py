@@ -168,6 +168,22 @@ class TestClassicalLimits:
         ref = 1.0 - np.exp(-TS)
         assert max_rel(solve_power_closed(p, TS), ref) < 1e-10
 
+    @pytest.mark.parametrize("p, at_one", [
+        (KineticProblem(1, (1.0,), (1.0,), PowerLaw(150.0)),
+         0.9933771948686473),
+        (KineticProblem(1, (0.5, 1.0), (1.0, 0.25), PowerLaw(170.0)),
+         0.9274440475356611),
+    ])
+    def test_value_past_the_double_range_raises(self, p, at_one):
+        # Gamma(rho) t^(rho-1) overflows at t = 10, where the solution is
+        # about t^(rho-1) > 1e149; at t = 1 it is a double
+        label, solver = select_solver(p)
+        assert label == "power-closed"
+        assert solver(p, np.array([1.0])).tolist() == [at_one]
+        with pytest.raises(NonConvergence,
+                           match=r"at t=10 is beyond the double range"):
+            solver(p, np.array([1.0, 10.0]))
+
 
 class TestRouteAgreement:
     def test_binomial_vs_multiterm(self):
