@@ -29,6 +29,9 @@ SCHEMA_VERSION = 1
 
 _MODES = ("kinetic", "diffusion", "levy", "specfun-eval", "verify")
 
+# the largest grid a config may ask for, the stepper's own step cap
+_MAX_COUNT = 10 ** 7
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -86,6 +89,7 @@ def _parse_grid(mapping, key, minimum=None):
     stop = _take(spec, "stop", float, key)
     count = _take(spec, "count", int, key)
     _require(count >= 1, f"{key}: count must be >= 1")
+    _require(count <= _MAX_COUNT, f"{key}: count must be <= {_MAX_COUNT}")
     _require(count == 1 or stop > start,
              f"{key}: stop must exceed start for a strictly increasing grid")
     if minimum == "positive":

@@ -139,6 +139,8 @@ def forward_laplace(f, s, head_power=0.0, t_max=None, abs_tol=1e-12,
         raise DomainError("head_power must be finite and exceed -1")
     if not 0.0 < rel_tol < 1.0:
         raise DomainError("rel_tol must lie in (0, 1)")
+    if t_max is not None and not t_max > 0.0:
+        raise DomainError("t_max must be positive")
     upper = t_max if t_max is not None else max(1.0, 45.0 / s)
     cut = min(1.0, upper)
     total = 0.0

@@ -10,6 +10,7 @@ the library is supposed to produce.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -30,7 +31,6 @@ from .kinetics import (
     Unit,
     binomial_problem,
     geometric_problem,
-    laplace_domain,
     residual_grid,
     select_solver,
     solve_ml_closed,
@@ -42,6 +42,7 @@ from .oracles import (
     StepperControls,
     forward_laplace,
     invert_laplace,
+    laplace_image,
     volterra_solve,
 )
 from .specfun import MLParams, SeriesControls, ml_one, ml_prabhakar, ml_two
@@ -50,7 +51,6 @@ __all__ = [
     "CriterionResult",
     "VerificationReport",
     "canonical_problems",
-    "criterion_names",
     "run_all",
     "verify_problem",
 ]
@@ -129,6 +129,28 @@ def canonical_problems():
     )
 
 
+def _compare(problem, ts, dts, image_problem=None, truncation=None):
+    """The closed solution of ``problem`` at the times ``ts`` against both
+    oracles: ``(route, closed, inverted, stepped)``.
+
+    ``inverted`` inverts the image of ``image_problem`` (``problem`` when
+    omitted).  ``stepped`` holds one array per step in ``dts``, from one
+    stepper run to the first grid point at or past the last time; grid
+    times take the grid value, others interpolate linearly.
+    """
+    route, solver = select_solver(problem)
+    closed = solver(problem, ts, truncation=truncation)
+    image = laplace_image(problem if image_problem is None else image_problem)
+    inverted = np.array([invert_laplace(image, t) for t in ts])
+    stepped = []
+    for dt in dts:
+        n_steps = math.ceil(float(np.max(ts)) / dt)
+        grid_ts, grid_vals = volterra_solve(
+            problem, StepperControls(dt=dt, t_end=n_steps * dt))
+        stepped.append(np.interp(ts, grid_ts, grid_vals))
+    return route, closed, inverted, stepped
+
+
 def _triangle_data(denominator_sign=1.0, truncation=None):
     """Closed / inversion / stepper comparison for the canonical panel.
 
@@ -140,28 +162,16 @@ def _triangle_data(denominator_sign=1.0, truncation=None):
     for name, problem in canonical_problems():
         row = {"name": name, "error": None}
         try:
-            route, solver = select_solver(problem)
-            closed = solver(problem, ts, truncation=truncation)
-            row["route"] = route
-
             # the fault, denominator_sign = -1, negates every rate
             image_problem = replace(problem, rates=tuple(
                 denominator_sign * a for a in problem.rates))
-
-            def image(s, _p=image_problem):
-                return laplace_domain(_p, s)
-
-            inverted = np.array([invert_laplace(image, t) for t in ts])
+            row["route"], closed, inverted, stepped = _compare(
+                problem, ts, _DTS, image_problem, truncation)
             row["inversion_rel"] = float(np.max(_rel(inverted, closed)))
-            stepper_rels = []
-            for dt in _DTS:
-                _, vals = volterra_solve(problem,
-                                         StepperControls(dt=dt, t_end=5.0))
-                idx = np.rint(ts / dt).astype(int)
-                stepper_rels.append(float(np.max(_rel(vals[idx], closed))))
-            row["stepper_rels"] = stepper_rels
-            row["order"] = float(np.polyfit(np.log(_DTS),
-                                            np.log(stepper_rels), 1)[0])
+            rels = [float(np.max(_rel(s, closed))) for s in stepped]
+            row["stepper_rels"] = rels
+            row["order"] = float(np.polyfit(np.log(_DTS), np.log(rels),
+                                            1)[0])
         except FkinError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
@@ -450,29 +460,6 @@ def check_residual_defect(truncation=None):
     return CriterionResult("residual-defect", True, detail)
 
 
-def criterion_names():
-    """Names of all criteria, in execution order."""
-    return tuple(name for name, _ in _CRITERIA)
-
-
-_CRITERIA = (
-    ("ml-reductions", lambda cache: check_ml_reductions()),
-    ("laplace-pair", lambda cache: check_laplace_pair()),
-    ("closed-vs-oracles",
-     lambda cache: check_closed_vs_oracles(cache["triangle"]())),
-    ("closed-specializations",
-     lambda cache: check_closed_specializations()),
-    ("gaussian-limit", lambda cache: check_gaussian_limit()),
-    ("mass-conservation", lambda cache: check_mass_conservation()),
-    ("far-field-decay", lambda cache: check_far_field_decay()),
-    ("stable-density", lambda cache: check_stable_density()),
-    ("stepper-order",
-     lambda cache: check_stepper_order(cache["triangle"]())),
-    ("residual-defect",
-     lambda cache: check_residual_defect(cache["truncation"])),
-)
-
-
 def run_all(filter=None, denominator_sign=1.0, truncation=None):
     """Run the verification criteria and collect their results.
 
@@ -482,20 +469,27 @@ def run_all(filter=None, denominator_sign=1.0, truncation=None):
     the inversion oracle, and a zero-level truncation policy cripples the
     resolvent expansion; both must be caught by the affected criteria.
     """
-    shared = {}
-
-    def triangle():
-        if "rows" not in shared:
-            shared["rows"] = _triangle_data(denominator_sign, truncation)
-        return shared["rows"]
-
-    cache = {"triangle": triangle, "truncation": truncation}
+    # built on first use, so a run without the panel criteria skips it
+    panel = functools.cache(
+        lambda: _triangle_data(denominator_sign, truncation))
+    criteria = (
+        ("ml-reductions", check_ml_reductions),
+        ("laplace-pair", check_laplace_pair),
+        ("closed-vs-oracles", lambda: check_closed_vs_oracles(panel())),
+        ("closed-specializations", check_closed_specializations),
+        ("gaussian-limit", check_gaussian_limit),
+        ("mass-conservation", check_mass_conservation),
+        ("far-field-decay", check_far_field_decay),
+        ("stable-density", check_stable_density),
+        ("stepper-order", lambda: check_stepper_order(panel())),
+        ("residual-defect", lambda: check_residual_defect(truncation)),
+    )
     results = []
-    for name, runner in _CRITERIA:
+    for name, check in criteria:
         if filter is not None and filter not in name:
             continue
         try:
-            results.append(runner(cache))
+            results.append(check())
         except FkinError as exc:
             results.append(CriterionResult(
                 name, False, f"{type(exc).__name__}: {exc}"))
@@ -514,14 +508,6 @@ class VerificationReport:
     inverted_rel: np.ndarray
     stepped: np.ndarray
     stepped_rel: np.ndarray
-
-    @property
-    def max_inverted_rel(self):
-        return float(np.max(self.inverted_rel))
-
-    @property
-    def max_stepped_rel(self):
-        return float(np.max(self.stepped_rel))
 
     def rows(self):
         """Column header followed by one row of floats per time point.
@@ -552,14 +538,7 @@ def verify_problem(problem, ts, dt=1.0 / 512.0):
         raise DomainError("verification times must be positive and finite")
     if not 0.0 < dt < math.inf:
         raise DomainError("dt must be positive and finite")
-    route, solver = select_solver(problem)
-    closed = solver(problem, ts)
-    inverted = np.array([invert_laplace(lambda s: laplace_domain(problem, s),
-                                        t) for t in ts])
-    n_steps = int(math.ceil(float(np.max(ts)) / dt))
-    grid_ts, grid_vals = volterra_solve(
-        problem, StepperControls(dt=dt, t_end=n_steps * dt))
-    stepped = np.interp(ts, grid_ts, grid_vals)
+    route, closed, inverted, (stepped,) = _compare(problem, ts, (dt,))
     return VerificationReport(
         route=route,
         ts=ts,

@@ -2,16 +2,21 @@
 
 Each test prints the one-line PASS/FAIL record of its criterion and
 fails with that record as the message, so a red run shows exactly which
-guarantee broke and by how much.  The two fault-injection tests at the
-bottom prove the cross-checks can actually catch a wrong implementation:
-they flip a sign in the resolvent denominator and truncate the series
-expansion to zero levels, and require the affected criteria to fail.
+guarantee broke and by how much.  The two fault-injection tests prove
+the cross-checks can actually catch a wrong implementation: they flip a
+sign in the resolvent denominator and truncate the series expansion to
+zero levels, and require the affected criteria to fail.  The last two
+tests hold that the `verify` table and the panel share one comparison,
+and that a run builds the panel only for the criteria that read it.
 """
 
+import numpy as np
 import pytest
 
+from fkin import verification
 from fkin.kinetics import TruncationPolicy
-from fkin.verification import check_closed_vs_oracles, run_all
+from fkin.verification import (check_closed_vs_oracles, run_all,
+                               verify_problem)
 
 CRITERIA = (
     "ml-reductions",
@@ -63,3 +68,24 @@ def test_nan_error_is_caught(row):
     # a nan compares False against any tolerance; it must fail the row
     row = dict(row, name="nan-row", error=None)
     assert not check_closed_vs_oracles([row]).passed
+
+
+def test_verify_table_and_panel_share_one_comparison():
+    # the verify table at dt = 1/512 is the panel row's finest grid
+    name = "three-term-general"
+    problem = dict(verification.canonical_problems())[name]
+    row, = [r for r in verification._triangle_data() if r["name"] == name]
+    report = verify_problem(problem, verification._TPTS, dt=1.0 / 512.0)
+    assert report.route == row["route"]
+    assert float(np.max(report.inverted_rel)) == row["inversion_rel"]
+    assert float(np.max(report.stepped_rel)) == row["stepper_rels"][-1]
+
+
+def test_panel_is_built_only_for_its_criteria(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the panel was built")
+
+    monkeypatch.setattr(verification, "_triangle_data", refuse)
+    results = run_all(filter="gaussian-limit")
+    assert [r.name for r in results] == ["gaussian-limit"]
+    assert results[0].passed

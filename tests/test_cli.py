@@ -137,6 +137,16 @@ class TestRun:
         assert "finite" in record["message"]
         assert not (tmp_path / "o.csv").exists()
 
+    def test_oversized_grid(self, tmp_path, capsys):
+        # rejected before any array is built, not a numpy memory error
+        payload = kinetic_payload(
+            time_grid={"start": 0.1, "stop": 2.0, "count": 10 ** 15})
+        path = write_config(tmp_path, payload)
+        assert main(["run", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert not (tmp_path / "o.csv").exists()
+
     def test_power_law_gamma_overflow(self, tmp_path, capsys):
         # Gamma(200) overflows a double: a configuration error, not a
         # traceback

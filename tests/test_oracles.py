@@ -62,6 +62,12 @@ class TestForward:
         with pytest.raises(DomainError):
             forward_laplace(lambda t: math.exp(-t), s, head_power=head_power)
 
+    @pytest.mark.parametrize("t_max", [math.nan, -1.0, 0.0])
+    def test_bad_truncation_point_rejected(self, t_max):
+        # each once returned a wrong value (0.43, -3.19, 0.0 against 0.5)
+        with pytest.raises(DomainError):
+            forward_laplace(lambda t: math.exp(-t), 1.0, t_max=t_max)
+
 
 class TestInvert:
     def test_pole_pair(self):
