@@ -16,6 +16,15 @@ plan it hands to that engine.  A pattern row fits only a forcing with a
 Prabhakar image against its own plan; the expansion rows take any forcing,
 and one without such an image against their base has every term of the
 expansion a singular convolution of the forcing.
+
+Where the expansion has levels (two or more orders), every order is at
+most 1, every rate is positive and the forcing has a Prabhakar image, the
+plan's whole image ``n0 C s^-g (1 + a1 s^-nu1)^-d / (1 + sum_j a_j
+s^-nu_j)`` has no pole off the negative real axis, and it is inverted in
+one pass on the parabolic contour of :mod:`fkin.specfun`, one row of nodes
+per time; that serves the long-time tail, where the level sums lose their
+digits.  The level sums take only the times the contour does not certify,
+``t = 0``, and the plans it does not fit.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from .fracops import (ConvolutionControls, MLModulator, SampledFunction,
                       singular_convolution, singular_convolution_grid,
                       _cells_for)
 from .fracops import ddt  # not called here; bench/tracing.py patches it
-from .specfun import _ml_values
+from .specfun import _contour, _ml_values
 
 __all__ = [
     "Unit",
@@ -190,13 +199,14 @@ class KineticProblem:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Budget for the resolvent level expansion of the general route.
+    """Budget for the resolvent level sums of the expansion routes.
 
     Levels are added until two consecutive ones contribute below 1e-13
     of the running solution; exceeding ``l_max`` raises
     ``NonConvergence``, and a level with more than ``max_compositions``
     distinct kernel exponents raises ``ResourceError`` before it is
-    evaluated.
+    evaluated.  It bounds only the level sums: a time whose whole image
+    the contour inverts adds no level.
     """
 
     l_max: int = 80
@@ -292,15 +302,57 @@ def _closed(problem, ts, plan, kern, truncation=None):
     return _sum_levels(problem, ts, plan.levels, level_sum, truncation)
 
 
+def _image_contour(problem, ts, plan, kern):
+    """``(values, certified)`` at positive times ``ts`` of a levels plan's
+    whole image ``n0 C s^-g (1 + k s^-b)^-d / (1 + sum_j a_j s^-nu_j)``,
+    ``kern = (C, g, d)``, by :func:`~fkin.specfun._contour` with one row
+    per time: at ``t`` the nodes ``sigma`` stand for ``s = sigma / t``, and
+    ``N(t) = (1/(2 pi i)) int e^sigma F(sigma / t) dsigma / t``.  With every
+    order at most 1 and every rate positive, each ``a_j s^-nu_j`` has
+    negative imaginary part for ``0 < arg s < pi``, so the image has no
+    pole off the negative real axis."""
+    const, g, d = kern
+    log_t = np.log(ts)[:, None]
+    scale = problem.n0 * const
+
+    def integrand(sigma, log_sigma):
+        log_s = log_sigma - log_t
+        denom = 1.0
+        for nu, a in zip(problem.nus, problem.rates):
+            denom = denom + a * np.exp(-nu * log_s)
+        power = sigma - g * log_s - log_t
+        if d:
+            power = power - d * np.log(1.0 + plan.k * np.exp(-plan.b * log_s))
+        return scale * np.exp(power) / denom
+
+    return _contour(integrand)
+
+
 def _run(problem, ts, plan, controls=None, truncation=None):
     """Run a route plan: in closed form where the forcing has a Prabhakar
     image against it, else by :func:`_quadrature_expansion`.  Pattern
     plans fit only forcings with such an image, so only the expansion
-    plan, whose base that expansion shares, ever takes the quadrature."""
+    plan, whose base that expansion shares, ever takes the quadrature.
+
+    A levels plan whose orders are all at most 1 and whose rates are all
+    positive inverts its whole image by :func:`_image_contour`; only the
+    times it does not certify, and ``t = 0``, take the level sums of
+    :func:`_closed`."""
     kern = _kernel(problem.forcing, plan.b, plan.k)
     if kern is None:
         return _quadrature_expansion(problem, ts, controls, truncation)
-    return _closed(problem, ts, plan, kern, truncation)
+    if not (plan.levels and problem.nus[-1] <= 1.0
+            and min(problem.rates) > 0.0):
+        return _closed(problem, ts, plan, kern, truncation)
+    ts = _times(ts)
+    vals = np.empty_like(ts)
+    pending = ts == 0.0
+    pos = np.flatnonzero(~pending)
+    vals[pos], certified = _image_contour(problem, ts[pos], plan, kern)
+    pending[pos] = ~certified
+    if np.any(pending):
+        vals[pending] = _closed(problem, ts[pending], plan, kern, truncation)
+    return vals
 
 
 def _quadrature_expansion(problem, ts, controls=None, truncation=None,
@@ -512,12 +564,19 @@ _TABLE = (
      """Solver for orders in arithmetic progression ``nu, 2 nu, ...``.
 
     The progression admits the same factored expansion as the general
-    route, with every kernel exponent a multiple of ``nu``."""),
+    route, with every kernel exponent a multiple of ``nu``.  With every
+    order at most 1, every rate positive and a forcing with a Prabhakar
+    image, the whole image is inverted on one contour instead, and only
+    the times it does not certify, and ``t = 0``, take the levels."""),
     ("multiterm", _expansion_plan, None,
      """General solver for any number of distinct orders: the resolvent
     expansion about the lowest-order term, level ``l`` a sum of Prabhakar
-    terms of degree ``l + 1 + d``, added under ``truncation``.
-    ``controls`` applies only to forcings without a Prabhakar image."""),
+    terms of degree ``l + 1 + d``, added under ``truncation``.  With two
+    or more orders, all at most 1, every rate positive and a forcing with
+    a Prabhakar image, the whole image is inverted on one contour instead,
+    and only the times it does not certify, and ``t = 0``, take the
+    levels.  ``controls`` applies only to forcings without a Prabhakar
+    image."""),
 )
 
 

@@ -42,6 +42,11 @@ __all__ = [
 # over a panel of known pairs on t in [0.1, 10] in double precision.
 _SCALE_CAP = 9.0
 
+# e^(-s t) falls by e^-_DECAY over t = _DECAY / s: the default truncation
+# point of the forward transform, and the width of its first piece past
+# the head.
+_DECAY = 45.0
+
 
 @dataclass(frozen=True)
 class TalbotControls:
@@ -124,8 +129,10 @@ def forward_laplace(f, s, head_power=0.0, t_max=None, abs_tol=1e-12,
 
     ``head_power`` declares the power-law behavior ``f ~ t^head_power``
     at the origin (must exceed -1) so the singular part can be handled by
-    a weighted rule.  Integration is truncated at ``t_max`` (chosen from
-    ``s`` when omitted); if the discarded tail is not provably negligible
+    a weighted rule.  Past ``t = 1`` the integral runs over pieces of
+    width ``45 / s``, doubling, and is truncated at ``t_max`` (``max(1, 45
+    / s)`` when omitted) or at the end of the first piece that adds less
+    than the tolerances; if the discarded tail is not provably negligible
     a :class:`TruncationWarning` is emitted.  Loosening ``rel_tol`` stops
     subdivision earlier, which matters when ``f`` is expensive.
     """
@@ -141,7 +148,7 @@ def forward_laplace(f, s, head_power=0.0, t_max=None, abs_tol=1e-12,
         raise DomainError("rel_tol must lie in (0, 1)")
     if t_max is not None and not t_max > 0.0:
         raise DomainError("t_max must be positive")
-    upper = t_max if t_max is not None else max(1.0, 45.0 / s)
+    upper = t_max if t_max is not None else max(1.0, _DECAY / s)
     cut = min(1.0, upper)
     total = 0.0
     if head_power != 0.0:
@@ -158,14 +165,22 @@ def forward_laplace(f, s, head_power=0.0, t_max=None, abs_tol=1e-12,
         part, _ = _si.quad(lambda t: f(t) * math.exp(-s * t), 0.0, cut,
                            epsabs=abs_tol, epsrel=rel_tol, limit=400)
         total += part
-    if upper > cut:
-        part, _ = _si.quad(lambda t: f(t) * math.exp(-s * t), cut, upper,
+    # past the head, pieces on the scale 1/s where e^(-st) lives, each
+    # twice as wide as the last, until one adds nothing or upper is reached:
+    # one quadrature over [cut, 1e300] would never sample that scale
+    end, width = cut, _DECAY / s
+    while end < upper:
+        start, end = end, min(upper, end + width)
+        part, _ = _si.quad(lambda t: f(t) * math.exp(-s * t), start, end,
                            epsabs=abs_tol, epsrel=rel_tol, limit=400)
         total += part
-    tail_bound = abs(f(upper)) * math.exp(-s * upper) / s
+        width *= 2.0
+        if abs(part) <= max(abs_tol, rel_tol * abs(total)):
+            break
+    tail_bound = abs(f(end)) * math.exp(-s * end) / s
     if tail_bound > max(1e-14, 1e-12 * abs(total)):
         warnings.warn(
-            f"truncated at t={upper:g} with tail bound {tail_bound:.2e}",
+            f"truncated at t={end:g} with tail bound {tail_bound:.2e}",
             TruncationWarning)
     return total
 

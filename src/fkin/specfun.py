@@ -2,16 +2,19 @@
 engines every fkin series runs on.
 
 Mittag-Leffler values come from the defining power series, by two
-engines, and from one contour.  ``_ml_values`` is the one double-precision
-Mittag-Leffler pass: compensated (Kahan) summation over an array of
+engines, and from one contour, ``_contour``, which also inverts the whole
+image of the multi-term kinetic plans of :mod:`fkin.kinetics`.
+``_ml_values`` is the one double-precision Mittag-Leffler pass:
+compensated (Kahan) summation over an array of
 arguments, each entry stopped by its own rule and checked by a
 rounding-noise guard against its summed term magnitudes.  Entries past
 ``SERIES_RADIUS`` skip that pass.  Every entry the pass does not certify
 goes to ``_ml_rescue``, the one router of the rescue: entries with
 ``beta <= 1`` and ``z < 0`` go first to ``_ml_contour``, which inverts the
-Prabhakar Laplace image at ``t = 1`` on two parabolic contours in double
-precision and certifies a value only when the two agree and it passes the
-same rounding guard; every other entry inside the radius goes to
+Prabhakar Laplace image at ``t = 1`` by ``_contour``: the trapezoidal rule
+on two parabolic contours in double precision, one row of nodes per image,
+with a value certified only when the two agree and it passes the same
+rounding guard; every other entry inside the radius goes to
 ``_sum_extended``, the one extended-precision engine, and an entry left
 past the radius raises ``NonConvergence``.
 
@@ -421,27 +424,26 @@ def _kahan(terms, total, comp):
     return np.array(sums).T, total, comp
 
 
-def _ml_contour(beta, gamma_, delta, zs):
-    """``(values, certified)``: three-parameter Mittag-Leffler values for
-    ``beta <= 1`` and arguments ``z < 0``, by inverting the Laplace image
-    ``s^(beta delta - gamma_) / (s^beta - z)^delta`` of
-    ``t^(gamma_-1) E^delta_(beta,gamma_)(z t^beta)`` at ``t = 1``.
+def _contour(integrand):
+    """``(values, certified)``: the inverse Laplace transform at ``t = 1``,
+    ``(1/(2 pi i)) int e^s F(s) ds``, of one image per row, for images
+    whose principal branch has no singularity off the negative real axis
+    and which are real on the real axis.
 
-    On the parabola ``s = mu (1 + i u)^2`` the inversion integral
-    ``(1/(2 pi i)) int e^s F(s) ds`` is taken by the trapezoidal rule in
-    ``u`` (Weideman & Trefethen 2007, Math. Comp. 76:1341; Garrappa 2015,
-    SIAM J. Numer. Anal. 53:1350), over one array of entries by nodes.
-    For ``beta <= 1`` and ``z < 0`` the principal branch of ``F`` has no
-    singularity off the negative real axis, which the parabola encloses,
-    and ``F`` is real on the real axis, so the nodes with ``u < 0`` are the
-    conjugates of those with ``u > 0``.  An entry is certified when the
-    two passes of ``_CONTOUR_PASSES`` agree to ``_CONTOUR_AGREE`` of the
-    value, when its rounding-noise estimate ``_GUARD_FACTOR eps mass``
-    (``mass`` the summed term magnitudes) is within ``_GUARD_REL`` of it,
-    as in the double series pass, and when it is finite; the value is that
-    of the first pass.
+    ``integrand(s, log_s)`` returns ``e^s F(s)`` as one array of rows by
+    nodes for the node array ``s`` (and its logarithm).  On the parabola
+    ``s = mu (1 + i u)^2``, which encloses the negative real axis, the
+    integral is taken by the trapezoidal rule in ``u`` (Weideman &
+    Trefethen 2007, Math. Comp. 76:1341; Garrappa 2015, SIAM J. Numer.
+    Anal. 53:1350); the nodes with ``u < 0`` are the conjugates of those
+    with ``u > 0``.  A row is certified when the two passes of
+    ``_CONTOUR_PASSES`` agree to ``_CONTOUR_AGREE`` of the value, when its
+    rounding-noise estimate ``_GUARD_FACTOR eps mass`` (``mass`` the summed
+    term magnitudes) is within ``_GUARD_REL`` of it, as in the double
+    series pass, and when it is finite; the value is that of the first
+    pass.  Each row is summed on its own, so its value does not depend on
+    the other rows.
     """
-    z = np.asarray(zs, dtype=float)[:, None]
     passes = []
     with np.errstate(over="ignore", invalid="ignore"):
         for mu, h in _CONTOUR_PASSES:
@@ -453,9 +455,7 @@ def _ml_contour(beta, gamma_, delta, zs):
             # stands for itself and its conjugate
             weight = (h * mu / math.pi) * w
             weight[1:] *= 2.0
-            terms = weight * np.exp(
-                s + (beta * delta - gamma_) * log_s
-                - delta * np.log(np.exp(beta * log_s) - z))
+            terms = weight * integrand(s, log_s)
             passes.append((terms.real.sum(axis=1),
                            np.abs(terms).sum(axis=1)))
     (value, mass), (check, _) = passes
@@ -463,6 +463,19 @@ def _ml_contour(beta, gamma_, delta, zs):
                  & (np.abs(value - check) <= _CONTOUR_AGREE * np.abs(value))
                  & (_GUARD_FACTOR * _EPS * mass <= _GUARD_REL * np.abs(value)))
     return value, certified
+
+
+def _ml_contour(beta, gamma_, delta, zs):
+    """``(values, certified)``: three-parameter Mittag-Leffler values for
+    ``beta <= 1`` and arguments ``z < 0``, by :func:`_contour` on the
+    Laplace image ``s^(beta delta - gamma_) / (s^beta - z)^delta`` of
+    ``t^(gamma_-1) E^delta_(beta,gamma_)(z t^beta)``, one row per entry.
+    For ``beta <= 1`` and ``z < 0`` the principal branch of that image has
+    no singularity off the negative real axis."""
+    z = np.asarray(zs, dtype=float)[:, None]
+    return _contour(lambda s, log_s: np.exp(
+        s + (beta * delta - gamma_) * log_s
+        - delta * np.log(np.exp(beta * log_s) - z)))
 
 
 def _ml_rescue(beta, gamma_, delta, zs, ctrl):

@@ -41,8 +41,15 @@ fundamental_solution(DiffusionProblem(2.0 / 3.0, 0.85, 1),
                      np.linspace(24.8, 37.4, 3), 1.12)
 stages["densities"] = loaded()
 
-from fkin import (ConvolutionControls, KineticProblem, Unit, forward_laplace,
-                  solve_multiterm_grid, verify_problem)
+from fkin import KineticProblem, Unit, solve_multiterm
+
+# two-term-arithmetic, inverted on its image contour
+solve_multiterm(KineticProblem(2.0, (0.5, 1.0), (1.0, 0.3), Unit()),
+                [0.5, 5.0])
+stages["expansion"] = loaded()
+
+from fkin import (ConvolutionControls, forward_laplace, solve_multiterm_grid,
+                  verify_problem)
 
 verify_problem(KineticProblem(1.0, (0.5,), (1.0,), Unit()), [0.5])
 stages["verify"] = loaded()
@@ -73,6 +80,10 @@ def test_libraries_load_at_their_first_use():
     # the residue series and Kanter's integral run in double precision on
     # numpy alone
     assert stages["densities"] == []
+    # a multi-term plan whose image contour certifies every time needs
+    # neither extended precision nor quadrature
+    assert "mpmath" not in stages["expansion"]
+    assert "scipy.integrate" not in stages["expansion"]
     # the stepper's Toeplitz solve runs on numpy.fft, apart from the
     # solver's scipy.fft grid convolutions
     assert "scipy.fft" not in stages["verify"]

@@ -7,9 +7,11 @@ import pytest
 import scipy.special as sc
 
 import fkin
+import fkin.specfun
 from fkin.errors import DomainError, NonConvergence, ResourceError
 from fkin.kinetics import (_TABLE, ROUTES, KineticProblem, MLForcing,
                            PowerLaw, Sampled, TruncationPolicy, Unit,
+                           _closed, _expansion_plan, _image_contour, _kernel,
                            _quadrature_expansion, _sum_levels,
                            binomial_problem, geometric_problem,
                            laplace_domain, residual_grid, select_solver,
@@ -230,6 +232,120 @@ class TestRouteAgreement:
         ts, vals = solve_multiterm_grid(p, 2.0)
         sub = slice(0, None, 200)
         assert max_rel(vals[sub], solve_multiterm(p, ts[sub])) < 1e-12
+
+
+def talbot_30(problem, t):
+    """The solution at ``t`` by mpmath's Talbot inversion at 30 digits of
+    the image written out from the problem: a reference that shares no
+    code with either kinetic engine."""
+    import mpmath as mp
+
+    f = problem.forcing
+    with mp.workdps(30):
+        nus = [mp.mpf(v) for v in problem.nus]
+        rates = [mp.mpf(v) for v in problem.rates]
+        if isinstance(f, MLForcing):
+            c_nu = mp.mpf(f.c) ** nus[0]
+            head = lambda s: (s ** (-mp.mpf(f.gamma_))
+                              * (1 + c_nu * s ** -nus[0]) ** -mp.mpf(f.delta))
+        elif isinstance(f, PowerLaw):
+            rho = mp.mpf(f.rho)
+            head = lambda s: mp.gamma(rho) * s ** -rho
+        else:
+            head = lambda s: 1 / s
+
+        def image(s):
+            return problem.n0 * head(s) / (
+                1 + sum(a * s ** -v for a, v in zip(rates, nus)))
+
+        return float(mp.invertlaplace(image, mp.mpf(t), method="talbot"))
+
+
+class TestImageContour:
+    """Levels plans with every order at most 1 and every rate positive
+    invert their whole image on one contour; other plans, and the times
+    the contour does not certify, keep the level sums."""
+
+    def test_agrees_with_the_level_sums(self, monkeypatch):
+        # the level sums are taken where they certify in double precision
+        # and within 60 kernel exponents a level: past those budgets they
+        # cost up to seconds a time
+        def refuse(*args, **kwargs):
+            raise NonConvergence("not rescued in this test")
+
+        monkeypatch.setattr(fkin.specfun, "_sum_extended", refuse)
+        budget = TruncationPolicy(max_compositions=60)
+        rng = np.random.default_rng(30)
+        compared = 0
+        for i in range(20):
+            nus = tuple(np.sort(rng.uniform(0.1, 1.0, rng.integers(2, 5))))
+            rates = tuple(rng.uniform(0.05, 2.0, len(nus)))
+            forcing = (Unit(), PowerLaw(rng.uniform(0.5, 2.5)),
+                       MLForcing(nus[0], rng.uniform(0.5, 2.5),
+                                 rng.uniform(0.2, 2.0),
+                                 rates[0] ** (1.0 / nus[0])))[i % 3]
+            p = KineticProblem(1.0, nus, rates, forcing)
+            plan = _expansion_plan(p)
+            kern = _kernel(forcing, plan.b, plan.k)
+            ts = np.sort(10.0 ** rng.uniform(-3.0, math.log10(5.0), 4))
+            got, certified = _image_contour(p, ts, plan, kern)
+            for t, value in zip(ts[certified], got[certified]):
+                try:
+                    closed = _closed(p, np.array([t]), plan, kern, budget)[0]
+                except (NonConvergence, ResourceError):
+                    continue
+                compared += 1
+                if abs(value - closed) > 1e-14 * abs(closed):
+                    # the level sums carry the error: their terms may
+                    # cancel by up to _CANCEL_LIMIT
+                    exact = talbot_30(p, t)
+                    assert abs(value - exact) <= 1e-14 * abs(exact)
+                    assert abs(closed - exact) > abs(value - exact)
+        assert compared >= 16
+
+    @pytest.mark.parametrize("problem", [
+        KineticProblem(2.0, (0.5, 1.0), (1.0, 0.3), Unit()),
+        KineticProblem(1.0, (0.3, 0.7, 1.0), (0.5, 1.2, 0.2), PowerLaw(1.5)),
+        KineticProblem(1.0, (0.6, 0.8), (0.7, 0.4),
+                       MLForcing(0.6, 1.5, 0.8, 0.7 ** (1.0 / 0.6))),
+    ], ids=["unit", "power", "matched-ml"])
+    def test_a_time_keeps_its_bytes_in_any_batch(self, problem):
+        # t = 0 takes the level sums beside the contour's times
+        ts = np.array([0.0, 1e-3, 0.3, 1.0, 2.5, 5.0, 20.0])
+        batch = solve_multiterm(problem, ts)
+        alone = [solve_multiterm(problem, [t])[0] for t in ts]
+        assert batch.tolist() == alone
+        assert solve_multiterm(problem, ts[::-1]).tolist() == alone[::-1]
+
+    def test_long_time_tail(self):
+        # the level sums raise at t = 20, where the terms cancel past
+        # _CANCEL_LIMIT; references by mpmath's Talbot inversion at 40
+        # digits
+        p = KineticProblem(1, (0.5, 1.0), (1.0, 1.0), Unit())
+        got = solve_arithmetic(p, [10.0, 20.0])
+        want = [0.010111006429052614162, 0.0033842536010967440453]
+        assert max_rel(got, want) < 1e-10
+
+    @pytest.mark.parametrize("problem, want", [
+        (KineticProblem(1, (0.5, 0.9, 1.6), (0.4, 0.2, 0.1), Unit()),
+         ["0x1.853f2b4b13341p-1", "0x1.52bbe0a5c0e57p-1",
+          "0x1.0daa0fd9c70bfp-1", "0x1.66eb83ea7c2a4p-2",
+          "0x1.2bade41c9b9e2p-3"]),
+        (KineticProblem(1, (0.5, 1.0), (1.0, -0.3), Unit()),
+         ["0x1.4f89d3a97aed7p-1", "0x1.2cdf8321de171p-1",
+          "0x1.0e76fae17f31bp-1", "0x1.f4a5a0798293ep-2",
+          "0x1.f2fefd3c4dd64p-2"]),
+    ], ids=["order-above-one", "negative-rate"])
+    def test_other_plans_keep_the_level_sums(self, problem, want,
+                                             monkeypatch):
+        # an order above 1 or a negative rate can put a pole off the
+        # negative real axis: the values are those of the level sums
+        def refuse(*args, **kwargs):
+            raise AssertionError("the contour takes no such plan")
+
+        monkeypatch.setattr(fkin.kinetics, "_image_contour", refuse)
+        got = select_solver(problem)[1](problem, TS)
+        assert [v.hex() for v in got.tolist()] == want
 
 
 class TestQuadratureRoute:

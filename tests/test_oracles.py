@@ -68,6 +68,16 @@ class TestForward:
         with pytest.raises(DomainError):
             forward_laplace(lambda t: math.exp(-t), 1.0, t_max=t_max)
 
+    @pytest.mark.parametrize("t_max", [1e3, 1e300])
+    def test_far_truncation_point(self, t_max):
+        # one quadrature over [1, 1e300] never sampled where e^-2t lives
+        # and returned 0.4323 with no warning; the value must be right or
+        # warn, and here it is right without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            got = forward_laplace(lambda t: math.exp(-t), 1.0, t_max=t_max)
+        assert abs(got - 0.5) <= 1e-12
+
 
 class TestInvert:
     def test_pole_pair(self):
